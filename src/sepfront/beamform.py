@@ -13,7 +13,6 @@ import numpy as np
 from . import tensorio
 from .dsp import Spectrogram, istft, stft
 from .errors import ConfigurationError, InputError
-from .masks import NOISE_LABEL
 
 DEFAULT_LOADING = 1e-7
 
@@ -69,8 +68,8 @@ def spatial_covariance(spec, mask):
             f"mask shape {mask.shape} does not match spectrogram grid "
             f"{spec.bins.shape[1:]}"
         )
-    if mask.min() < 0.0:
-        raise InputError("mask values must be nonnegative")
+    if not np.all(mask >= 0.0):
+        raise InputError("mask values must be nonnegative (NaN is rejected)")
 
     z = spec.bins  # (M, T, F)
     weighted = np.einsum("tf,ctf,dtf->fcd", mask, z, np.conj(z), optimize=True)
@@ -129,25 +128,19 @@ def mvdr_weights(target, interference, ref_mic, loading=DEFAULT_LOADING):
     _check_hermitian(vt, "target")
     _check_hermitian(vi, "interference")
 
-    u = np.zeros(num_mics)
-    u[ref_mic] = 1.0
-    weights = np.empty((num_freqs, num_mics), dtype=np.complex128)
-    passthrough = np.zeros(num_freqs, dtype=bool)
-    eye = np.eye(num_mics)
-    for f in range(num_freqs):
-        trace_i = np.real(np.trace(vi[f]))
-        if trace_i <= 0.0:
-            weights[f] = u
-            passthrough[f] = True
-            continue
-        loaded = vi[f] + (loading * trace_i / num_mics) * eye
-        ratio = np.linalg.solve(loaded, vt[f])
-        tr = np.trace(ratio)
-        if abs(tr) < TRACE_TOL * num_mics:
-            weights[f] = u
-            passthrough[f] = True
-            continue
-        weights[f] = ratio[:, ref_mic] / tr
+    trace_i = np.real(np.trace(vi, axis1=1, axis2=2))
+    solved = np.flatnonzero(trace_i > 0.0)
+    loading_term = (loading * trace_i[solved] / num_mics)[:, np.newaxis, np.newaxis]
+    ratio = np.linalg.solve(vi[solved] + loading_term * np.eye(num_mics), vt[solved])
+    tr = np.trace(ratio, axis1=1, axis2=2)
+    usable = np.abs(tr) >= TRACE_TOL * num_mics
+    kept = solved[usable]
+
+    weights = np.zeros((num_freqs, num_mics), dtype=np.complex128)
+    weights[:, ref_mic] = 1.0
+    weights[kept] = ratio[usable, :, ref_mic] / tr[usable, np.newaxis]
+    passthrough = np.ones(num_freqs, dtype=bool)
+    passthrough[kept] = False
     return BeamformerWeights(weights=weights, reference_mic=ref_mic, passthrough=passthrough)
 
 
@@ -176,16 +169,6 @@ def separate_mvdr(mixture, mask_set, config, ref_mic=0, loading=DEFAULT_LOADING)
         of per-speaker dicts with passthrough/zero-mass frequency counts.
     """
     spec = stft(mixture, config)
-    if not 0 <= ref_mic < spec.num_channels:
-        raise ConfigurationError(
-            f"ref_mic {ref_mic} out of range for {spec.num_channels} channels"
-        )
-    if mask_set.masks.shape[1:] != spec.bins.shape[1:]:
-        raise InputError(
-            "masks were computed under a different STFT configuration "
-            f"(mask grid {mask_set.masks.shape[1:]}, mixture grid {spec.bins.shape[1:]})"
-        )
-
     speaker_idx = mask_set.speaker_indices
     covs = [spatial_covariance(spec, mask_set.stream(i)) for i in speaker_idx]
     noise_cov = spatial_covariance(spec, mask_set.noise_mask())

@@ -63,18 +63,18 @@ def load_config(path=None, overrides=None):
 def _stft_config(config):
     s = config["stft"]
     return StftConfig(
-        window_length=int(s.get("window_length", 512)),
-        hop=int(s.get("hop", 128)),
-        fft_size=s.get("fft_size"),
-        center_padding=bool(s.get("center_padding", True)),
+        window_length=int(s["window_length"]),
+        hop=int(s["hop"]),
+        fft_size=s["fft_size"],
+        center_padding=bool(s["center_padding"]),
     )
 
 
 def _metric_config(config):
     m = config["metric"]
     return metrics.MetricConfig(
-        ci_sdr_taps=int(m.get("ci_sdr_taps", 512)),
-        cap_db=float(m.get("cap_db", 100.0)),
+        ci_sdr_taps=int(m["ci_sdr_taps"]),
+        cap_db=float(m["cap_db"]),
     )
 
 
@@ -152,7 +152,7 @@ def _map_scenes(fn, items, jobs):
 
 def cmd_simulate(config):
     """Render every manifest scene to WAV files under output_dir/scenes/<id>/."""
-    if not config.get("scene_manifest"):
+    if not config["scene_manifest"]:
         raise ConfigurationError("simulate requires scene_manifest")
     manifest, base_dir = load_manifest(config["scene_manifest"])
     out_root = Path(config["output_dir"]) / "scenes"
@@ -165,7 +165,7 @@ def cmd_simulate(config):
         (scene, manifest, base_dir, int(config["seed"]) + i, out_root, fmt)
         for i, scene in enumerate(scenes)
     ]
-    _map_scenes(_simulate_one, args, int(config.get("jobs", 1)))
+    _map_scenes(_simulate_one, args, int(config["jobs"]))
     return [scene["id"] for scene in scenes]
 
 
@@ -187,17 +187,21 @@ def _simulate_one(arg):
 
 
 def load_scene_masks(scene_dir, config, stft_config):
-    """Oracle masks from the scene's reference images, or imported masks."""
+    """Oracle masks from the scene's reference images, or imported masks.
+
+    An imported tensor with one stream per source plus one has noise last.
+    """
     sep = config["separator"]
     ref_mic = int(config["ref_mic"])
-    import_dir = sep.get("mask_import_dir")
-    if import_dir:
-        return masks.MaskSet.load(Path(import_dir) / f"{scene_dir.name}.tns")
-
-    kind = sep.get("mask_oracle_kind", "irm")
     with open(scene_dir / "scene.json", "r", encoding="utf-8") as f:
-        scene_meta = json.load(f)
-    num_sources = len(scene_meta["sources"])
+        num_sources = len(json.load(f)["sources"])
+    if sep["mask_import_dir"]:
+        mask_set = masks.MaskSet.load(Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns")
+        if mask_set.num_streams == num_sources + 1:
+            labels = mask_set.labels[:-1] + (masks.NOISE_LABEL,)
+            mask_set = masks.MaskSet(mask_set.masks, labels)
+        return mask_set
+
     mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     if not 0 <= ref_mic < mixture.num_channels:
         raise ConfigurationError(
@@ -213,7 +217,7 @@ def load_scene_masks(scene_dir, config, stft_config):
         images.append(stft(audio_io.read_wav(path), stft_config).channel(ref_mic))
     images.append(stft(audio_io.read_wav(scene_dir / "noise.wav"), stft_config).channel(ref_mic))
     mix_spec = stft(mixture, stft_config).channel(ref_mic)
-    return masks.oracle_mask(images, kind, mix_spec)
+    return masks.oracle_mask(images, sep["mask_oracle_kind"], mix_spec)
 
 
 def cmd_separate(config):
@@ -221,14 +225,14 @@ def cmd_separate(config):
     scene_dirs = _scene_dirs(config["output_dir"])
     stft_config = _stft_config(config)
     args = [(d, config, stft_config) for d in scene_dirs]
-    _map_scenes(_separate_one, args, int(config.get("jobs", 1)))
+    _map_scenes(_separate_one, args, int(config["jobs"]))
     return [d.name for d in scene_dirs]
 
 
 def _separate_one(arg):
     scene_dir, config, stft_config = arg
     ref_mic = int(config["ref_mic"])
-    method = config["separator"].get("method", "mvdr")
+    method = config["separator"]["method"]
     mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     mask_set = load_scene_masks(scene_dir, config, stft_config)
 
@@ -241,6 +245,9 @@ def _separate_one(arg):
         raise ConfigurationError(f"unknown separation method: {method!r}")
 
     fmt = config["wav_format"]
+    # evaluate scores every est_k.wav it finds, so none may outlive this run
+    for stale in scene_dir.glob("est_*.wav"):
+        stale.unlink()
     for k, est in enumerate(estimates, start=1):
         audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
@@ -251,10 +258,10 @@ def _separate_one(arg):
 def cmd_evaluate(config):
     """PIT-aligned scoring of every scene; writes report files and returns the report."""
     scene_dirs = _scene_dirs(config["output_dir"])
-    metric_name = config["metric"].get("name", "si_sdr")
+    metric_name = config["metric"]["name"]
     metric_config = _metric_config(config)
     args = [(d, config, metric_name, metric_config) for d in scene_dirs]
-    records = _map_scenes(_evaluate_one, args, int(config.get("jobs", 1)))
+    records = _map_scenes(_evaluate_one, args, int(config["jobs"]))
     records.sort(key=lambda r: r["scene_id"])
 
     all_scores = [s for r in records for s in r["output_db"]]
@@ -350,7 +357,7 @@ COMMANDS = ("simulate", "separate", "evaluate", "run-all")
 
 
 def run(config):
-    command = config.get("command")
+    command = config["command"]
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command: {command!r}")
     if command in ("simulate", "run-all"):

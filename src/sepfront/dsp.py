@@ -9,6 +9,7 @@ squared-window shifts cover every sample.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, InputError
 
@@ -55,8 +56,11 @@ class StftConfig:
             raise ConfigurationError("fft_size must be >= window_length")
         if self.fft_size & (self.fft_size - 1):
             raise ConfigurationError("fft_size must be a power of two")
-        window = make_window(self.window_kind, self.window_length)
-        if not _cola_covered(window, self.hop):
+        # interior samples see the full periodic sum of squared-window shifts;
+        # edge deficits are handled by the per-sample normalization in istft
+        wsq = self.window() ** 2
+        period = np.bincount(np.arange(self.window_length) % self.hop, weights=wsq)
+        if not np.all(period > _COVERAGE_TOL):
             raise ConfigurationError(
                 f"window/hop pair ({self.window_kind}, {self.window_length}/{self.hop}) "
                 "does not cover all samples (COLA violated)"
@@ -79,22 +83,6 @@ class StftConfig:
                 "with center_padding disabled"
             )
         return 1 + (length - self.window_length) // self.hop
-
-
-def _cola_covered(window, hop):
-    """Every sample of the window's span must receive nonzero squared weight."""
-    wsq = window ** 2
-    coverage = np.zeros(len(window), dtype=np.float64)
-    for start in range(0, len(window), hop):
-        span = len(window) - start
-        coverage[:span] += wsq[start:start + span]
-    # interior samples see the full periodic sum; edge deficits are handled
-    # by the per-sample normalization in istft
-    period = np.zeros(hop, dtype=np.float64)
-    for start in range(0, len(window), hop):
-        chunk = wsq[start:start + hop]
-        period[: len(chunk)] += chunk
-    return bool(np.all(period > _COVERAGE_TOL))
 
 
 @dataclass(frozen=True)
@@ -190,19 +178,11 @@ def stft(waveform, config):
         raise InputError("waveform contains NaN or Inf samples")
     length = x.shape[1]
     num_frames = config.num_frames(length)  # raises for too-short input
-    window = config.window()
     w = config.window_length
-
-    if config.center_padding:
-        pad = w // 2
-        x = np.pad(x, ((0, 0), (pad, pad + w)))
-    else:
-        x = np.pad(x, ((0, 0), (0, w)))
-
-    frames = np.empty((x.shape[0], num_frames, w), dtype=np.float64)
-    for t in range(num_frames):
-        frames[:, t, :] = x[:, t * config.hop: t * config.hop + w]
-    spectra = np.fft.rfft(frames * window, n=config.fft_size, axis=2)
+    pad = w // 2 if config.center_padding else 0
+    x = np.pad(x, ((0, 0), (pad, pad + w)))
+    frames = sliding_window_view(x, w, axis=1)[:, : num_frames * config.hop: config.hop]
+    spectra = np.fft.rfft(frames * config.window(), n=config.fft_size, axis=2)
     return Spectrogram(spectra, config, length, waveform.sample_rate)
 
 

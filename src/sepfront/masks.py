@@ -36,8 +36,8 @@ class MaskSet:
             raise InputError(
                 f"{len(labels)} labels for {masks.shape[0]} mask streams"
             )
-        if masks.min() < 0.0:
-            raise InputError("mask values must be nonnegative")
+        if not np.all(masks >= 0.0):
+            raise InputError("mask values must be nonnegative (NaN is rejected)")
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "labels", labels)
 
@@ -137,15 +137,5 @@ def separate_masking(mixture, mask_set, config, ref_mic=0):
     Returns:
         list of K single-channel MultichannelWaveforms.
     """
-    spec = stft(mixture, config)
-    if not 0 <= ref_mic < spec.num_channels:
-        raise ConfigurationError(
-            f"ref_mic {ref_mic} out of range for {spec.num_channels} channels"
-        )
-    ref = spec.channel(ref_mic)
-    if mask_set.masks.shape[1:] != ref.bins.shape[1:]:
-        raise InputError(
-            "masks were computed under a different STFT configuration "
-            f"(mask grid {mask_set.masks.shape[1:]}, mixture grid {ref.bins.shape[1:]})"
-        )
+    ref = stft(mixture, config).channel(ref_mic)
     return [istft(apply_mask(mask_set.stream(k), ref)) for k in mask_set.speaker_indices]

@@ -58,13 +58,17 @@ class Assignment:
     total_cost: float
 
 
-def _as_vector(x, name):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise InputError(f"{name} must be single-channel (1-D)")
-    if not np.all(np.isfinite(x)):
-        raise InputError(f"{name} contains NaN or Inf")
-    return x
+def _as_pair(estimate, reference):
+    """Both signals as finite single-channel float64 vectors of one length."""
+    est, ref = (np.asarray(x, dtype=np.float64) for x in (estimate, reference))
+    for x, name in ((est, "estimate"), (ref, "reference")):
+        if x.ndim != 1:
+            raise InputError(f"{name} must be single-channel (1-D)")
+        if not np.all(np.isfinite(x)):
+            raise InputError(f"{name} contains NaN or Inf")
+    if len(est) != len(ref):
+        raise InputError(f"length mismatch: {len(est)} vs {len(ref)}")
+    return est, ref
 
 
 def _ratio_db(signal_power, error_power, cap_db):
@@ -81,10 +85,7 @@ def si_sdr(estimate, reference, config=MetricConfig()):
     The reference is scaled by alpha = <estimate, reference> / ||reference||^2
     before the error term is formed.
     """
-    est = _as_vector(estimate, "estimate")
-    ref = _as_vector(reference, "reference")
-    if len(est) != len(ref):
-        raise InputError(f"length mismatch: {len(est)} vs {len(ref)}")
+    est, ref = _as_pair(estimate, reference)
     ref_energy = float(np.dot(ref, ref))
     if ref_energy == 0.0:
         raise InputError("reference signal is all-zero")
@@ -129,10 +130,7 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
     Fits a length-ci_sdr_taps FIR of the reference to the estimate in the
     least-squares sense and scores the residual.
     """
-    est = _as_vector(estimate, "estimate")
-    ref = _as_vector(reference, "reference")
-    if len(est) != len(ref):
-        raise InputError(f"length mismatch: {len(est)} vs {len(ref)}")
+    est, ref = _as_pair(estimate, reference)
     if len(ref) < config.ci_sdr_taps:
         raise InputError(
             f"signals of length {len(ref)} shorter than the {config.ci_sdr_taps}-tap filter"
@@ -149,10 +147,7 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
 
 def waveform_spectral_l1(estimate, reference, stft_config, weights=LossWeights()):
     """Weighted sum of waveform L1 and STFT-magnitude L1 (means over elements)."""
-    est = _as_vector(estimate, "estimate")
-    ref = _as_vector(reference, "reference")
-    if len(est) != len(ref):
-        raise InputError(f"length mismatch: {len(est)} vs {len(ref)}")
+    est, ref = _as_pair(estimate, reference)
     wave_term = float(np.mean(np.abs(est - ref)))
     fs = 16000  # magnitude term is sample-rate agnostic
     mag_est = np.abs(stft(MultichannelWaveform(est, fs), stft_config).bins)

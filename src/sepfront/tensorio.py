@@ -34,8 +34,11 @@ def load_tensor(path):
         magic = f.read(4)
         if magic != MAGIC:
             raise InputError(f"{path}: not a tensor file (bad magic {magic!r})")
-        (ndim,) = struct.unpack("<I", f.read(4))
-        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        try:
+            (ndim,) = struct.unpack("<I", f.read(4))
+            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        except struct.error as exc:
+            raise InputError(f"{path}: truncated tensor header ({exc})") from exc
         data = np.frombuffer(f.read(), dtype="<f4")
     expected = int(np.prod(shape)) if shape else 1
     if data.size != expected:

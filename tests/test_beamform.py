@@ -3,6 +3,8 @@ import pytest
 
 from conftest import speech_like
 from sepfront.beamform import (
+    DEFAULT_LOADING,
+    TRACE_TOL,
     BeamformerWeights,
     apply_beamformer,
     interference_covariance,
@@ -99,6 +101,13 @@ class TestSpatialCovariance:
         with pytest.raises(InputError):
             spatial_covariance(spec, mask)
 
+    def test_nan_mask_rejected(self, rng):
+        spec = multichannel_spec(rng, 2, 4)
+        mask = np.ones((4, CFG.num_bins))
+        mask[2, 7] = np.nan
+        with pytest.raises(InputError):
+            spatial_covariance(spec, mask)
+
 
 class TestInterferenceCovariance:
     def test_two_speakers_plus_noise(self, rng):
@@ -170,6 +179,31 @@ class TestMvdrWeights:
         weights = mvdr_weights(covariance_from(vt), covariance_from(vi), ref_mic=1)
         assert weights.passthrough[0]
         np.testing.assert_array_equal(weights.weights[0], [0, 1, 0])
+
+    def test_batched_solve_matches_per_frequency_loop(self, rng):
+        m, ref_mic = 4, 2
+        vt = np.array([random_psd(rng, m) for _ in range(6)])
+        vi = np.array([random_psd(rng, m) for _ in range(6)])
+        vi[1] = 0.0  # zero interference trace: never solved
+        vt[4] = 0.0  # zero target: the solved ratio has zero trace
+        weights = mvdr_weights(covariance_from(vt), covariance_from(vi), ref_mic)
+
+        expected = np.empty((6, m), dtype=complex)
+        for f in range(6):
+            trace_i = np.real(np.trace(vi[f]))
+            if trace_i <= 0.0:
+                expected[f] = np.eye(m)[ref_mic]
+                continue
+            loaded = vi[f] + (DEFAULT_LOADING * trace_i / m) * np.eye(m)
+            ratio = np.linalg.solve(loaded, vt[f])
+            tr = np.trace(ratio)
+            if abs(tr) < TRACE_TOL * m:
+                expected[f] = np.eye(m)[ref_mic]
+                continue
+            expected[f] = ratio[:, ref_mic] / tr
+        np.testing.assert_array_equal(weights.passthrough, [0, 1, 0, 0, 1, 0])
+        np.testing.assert_array_equal(weights.weights[[1, 4]], np.eye(m)[[ref_mic] * 2])
+        assert np.array_equal(weights.weights, expected)
 
     def test_non_hermitian_rejected(self, rng):
         bad = np.array([[[1.0, 2.0], [0.5, 1.0]]], dtype=complex)

@@ -47,6 +47,14 @@ def write_manifest(base, num_scenes=2, num_sources=2, num_mics=4, seconds=0.5,
     return path
 
 
+def run_main(tmp_path, config, command):
+    """Run `sepfront --config <file> --command <command>` and return its exit code."""
+    path = tmp_path / "config.json"
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(config, f)
+    return cli.main(["--config", str(path), "--command", command])
+
+
 def base_config(manifest, out_dir, **kwargs):
     config = cli.load_config(None, {})
     config["scene_manifest"] = str(manifest)
@@ -159,6 +167,45 @@ class TestSeparate:
                  "output_dir": str(tmp_path / "out"), "ref_mic": 99}, f,
             )
         assert cli.main(["--config", str(config_path)]) == cli.EXIT_CONFIG
+
+    def test_saved_oracle_masks_import_round_trip(self, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        cli.cmd_simulate(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        cli.load_scene_masks(scene_dir, config, StftConfig(512, 128)).save(
+            mask_dir / "scene_0000.tns"
+        )
+        config["separator"]["mask_import_dir"] = str(mask_dir)
+        imported = cli.load_scene_masks(scene_dir, config, StftConfig(512, 128))
+        assert imported.labels == ("speaker_1", "speaker_2", "noise")
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_OK
+        assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
+        assert sorted(p.name for p in scene_dir.glob("est_*.wav")) == ["est_1.wav", "est_2.wav"]
+
+    def test_truncated_mask_file_exit_code(self, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        (mask_dir / "scene_0000.tns").write_bytes(b"TNS1")
+        config = base_config(
+            manifest, tmp_path / "out", separator={"mask_import_dir": str(mask_dir)}
+        )
+        cli.cmd_simulate(config)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+
+    def test_stale_estimates_are_not_scored(self, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        cli.cmd_simulate(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        leftover = audio_io.read_wav(scene_dir / "source_1.wav").samples[0]
+        audio_io.write_wav(scene_dir / "est_3.wav", audio_io.MultichannelWaveform(leftover, FS))
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_OK
+        assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
+        assert not (scene_dir / "est_3.wav").exists()
 
     def test_missing_references_for_oracle_masks(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)

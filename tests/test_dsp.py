@@ -128,6 +128,38 @@ class TestStft:
             assert spec.num_frames == cfg.num_frames(length)
 
 
+def framed_rfft(x, cfg):
+    """STFT oracle: copy each frame out of the padded signal, then rfft."""
+    w = cfg.window_length
+    pad = w // 2 if cfg.center_padding else 0
+    padded = np.pad(x, ((0, 0), (pad, pad + w)))
+    starts = range(0, cfg.num_frames(x.shape[1]) * cfg.hop, cfg.hop)
+    frames = np.stack([padded[:, s:s + w] for s in starts], axis=1)
+    return np.fft.rfft(frames * cfg.window(), n=cfg.fft_size, axis=2)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        StftConfig(512, 128),
+        StftConfig(512, 128, center_padding=False),
+        StftConfig(400, 160, fft_size=512),
+        StftConfig(256, 100),
+        StftConfig(300, 7, fft_size=512),
+        StftConfig(64, 1),
+    ],
+    ids=["512-128", "512-128-nocenter", "400-160-fft512", "256-100", "300-7-fft512", "64-1"],
+)
+def test_stft_equals_per_frame_rfft(cfg, rng):
+    lengths = [cfg.window_length, 3 * cfg.window_length + 5, 4001]
+    if cfg.center_padding:
+        lengths.append(cfg.window_length // 2 + 1)  # shorter than the window
+    for length in lengths:
+        x = rng.standard_normal((3, length))
+        spec = stft(MultichannelWaveform(x, 16000), cfg)
+        assert np.array_equal(spec.bins, framed_rfft(x, cfg))
+
+
 class TestIstft:
     @pytest.mark.parametrize("hop", [128, 256])
     def test_round_trip(self, hop, rng):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,20 @@ class TestTensorFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(InputError):
             tensorio.load_tensor(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"TNS1", b"TNS1\x03\x00", b"TNS1" + struct.pack("<II", 3, 10)],
+        ids=["no-ndim", "short-ndim", "missing-dims"],
+    )
+    def test_truncated_header(self, header, tmp_path):
+        path = tmp_path / "truncated.tns"
+        path.write_bytes(header)
+        with pytest.raises(InputError, match="truncated.tns"):
+            tensorio.load_tensor(path)
+
+    def test_nan_mask_rejected(self):
+        masks = np.ones((2, 3, 4))
+        masks[1, 2, 3] = np.nan
+        with pytest.raises(InputError):
+            MaskSet(masks, ("speaker_1", "noise"))
