@@ -16,7 +16,13 @@ from .beamform import (
 )
 from .dsp import MultichannelWaveform, Spectrogram, StftConfig, istft, make_window, stft
 from .errors import ConfigurationError, InputError, NumericalError, SepfrontError
-from .masks import MaskSet, apply_mask, oracle_mask, separate_masking
+from .masks import (
+    MaskSet,
+    apply_mask,
+    oracle_mask,
+    oracle_mask_from_waveforms,
+    separate_masking,
+)
 from .metrics import (
     Assignment,
     LossWeights,

@@ -15,15 +15,15 @@ def read_wav(path):
         raise InputError(f"{path}: {exc}") from exc
     if data.ndim == 1:
         data = data[:, np.newaxis]
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
+    if data.dtype not in (np.int16, np.int32, np.float32, np.float64):
         raise InputError(f"{path}: unsupported WAV sample format {data.dtype}")
-    return MultichannelWaveform(samples.T, int(rate))
+    # one C-ordered conversion, so every channel row is contiguous
+    samples = data.T.astype(np.float64, order="C")
+    if data.dtype == np.int16:
+        samples /= 32768.0
+    elif data.dtype == np.int32:
+        samples /= 2147483648.0
+    return MultichannelWaveform(samples, int(rate))
 
 
 def write_wav(path, waveform, fmt="float32"):

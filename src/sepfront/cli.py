@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, audio_io, beamform, masks, metrics, simulate
-from .dsp import StftConfig, stft
+from .dsp import StftConfig, stft  # noqa: F401  (perfbench traces the cli.stft binding)
 from .errors import ConfigurationError, InputError, NumericalError
 
 EXIT_OK = 0
@@ -30,7 +30,6 @@ DEFAULT_CONFIG = {
     "output_dir": "out",
     "seed": 0,
     "jobs": 1,
-    "ref_mic": 0,
     "wav_format": "float32",
     "stft": {"window_length": 512, "hop": 128, "fft_size": 512, "center_padding": True},
     "separator": {"method": "mvdr", "mask_oracle_kind": "irm", "mask_import_dir": None},
@@ -38,8 +37,22 @@ DEFAULT_CONFIG = {
 }
 
 
+# JSON types each section field accepts; a bool is not taken as an int
+FIELD_TYPES = {
+    "stft": {"window_length": (int,), "hop": (int,), "fft_size": (int, type(None)),
+             "center_padding": (bool,)},
+    "separator": {"method": (str,), "mask_oracle_kind": (str,),
+                  "mask_import_dir": (str, type(None))},
+    "metric": {"name": (str,), "ci_sdr_taps": (int,), "cap_db": (int, float)},
+}
+
+
 def load_config(path=None, overrides=None):
-    """Merge defaults, optional config file, and CLI flag overrides."""
+    """Merge defaults, optional config file, and CLI flag overrides.
+
+    The file may set only the keys of DEFAULT_CONFIG; sections are objects
+    whose fields have the types in FIELD_TYPES.
+    """
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path is not None:
         try:
@@ -49,8 +62,13 @@ def load_config(path=None, overrides=None):
             raise ConfigurationError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigurationError(f"config file {path} must hold a JSON object")
         for key, value in user.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
+            if key not in config:
+                raise ConfigurationError(f"config file {path}: unknown key {key!r}")
+            if key in FIELD_TYPES:
+                _check_section(path, key, value)
                 config[key].update(value)
             else:
                 config[key] = value
@@ -60,28 +78,32 @@ def load_config(path=None, overrides=None):
     return config
 
 
+def _check_section(path, key, section):
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config file {path}: {key!r} must be an object")
+    for field, value in section.items():
+        types = FIELD_TYPES[key].get(field)
+        if types is None:
+            raise ConfigurationError(f"config file {path}: unknown key '{key}.{field}'")
+        if type(value) not in types:
+            raise ConfigurationError(
+                f"config file {path}: '{key}.{field}' must be "
+                f"{' or '.join(t.__name__ for t in types)}, got {value!r}"
+            )
+
+
 def _stft_config(config):
-    s = config["stft"]
-    return StftConfig(
-        window_length=int(s["window_length"]),
-        hop=int(s["hop"]),
-        fft_size=s["fft_size"],
-        center_padding=bool(s["center_padding"]),
-    )
+    return StftConfig(**config["stft"])
 
 
 def _metric_config(config):
     m = config["metric"]
-    return metrics.MetricConfig(
-        ci_sdr_taps=int(m["ci_sdr_taps"]),
-        cap_db=float(m["cap_db"]),
-    )
+    return metrics.MetricConfig(ci_sdr_taps=m["ci_sdr_taps"], cap_db=float(m["cap_db"]))
 
 
 def load_manifest(path):
-    manifest_path = Path(path)
     try:
-        with open(manifest_path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
     except FileNotFoundError as exc:
         raise InputError(f"scene manifest not found: {path}") from exc
@@ -89,7 +111,9 @@ def load_manifest(path):
         raise InputError(f"scene manifest {path} is not valid JSON: {exc}") from exc
     if "scenes" not in manifest:
         raise InputError(f"scene manifest {path} has no 'scenes' list")
-    return manifest, manifest_path.parent
+    if not all("id" in scene for scene in manifest["scenes"]):
+        raise InputError(f"scene manifest {path} has a scene without an 'id'")
+    return manifest
 
 
 def _geometry_from(entry):
@@ -154,7 +178,7 @@ def cmd_simulate(config):
     """Render every manifest scene to WAV files under output_dir/scenes/<id>/."""
     if not config["scene_manifest"]:
         raise ConfigurationError("simulate requires scene_manifest")
-    manifest, base_dir = load_manifest(config["scene_manifest"])
+    manifest = load_manifest(config["scene_manifest"])
     out_root = Path(config["output_dir"]) / "scenes"
     out_root.mkdir(parents=True, exist_ok=True)
     fmt = config["wav_format"]
@@ -162,7 +186,7 @@ def cmd_simulate(config):
     scenes = sorted(manifest["scenes"], key=lambda s: s["id"])
     # scenes without their own seed get a distinct deterministic one
     args = [
-        (scene, manifest, base_dir, int(config["seed"]) + i, out_root, fmt)
+        (scene, manifest, config["scene_manifest"], int(config["seed"]) + i, out_root, fmt)
         for i, scene in enumerate(scenes)
     ]
     _map_scenes(_simulate_one, args, int(config["jobs"]))
@@ -170,8 +194,13 @@ def cmd_simulate(config):
 
 
 def _simulate_one(arg):
-    scene, manifest, base_dir, global_seed, out_root, fmt = arg
-    spec = _scene_spec(scene, manifest, base_dir, global_seed)
+    scene, manifest, manifest_path, global_seed, out_root, fmt = arg
+    try:
+        spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
+    except KeyError as exc:
+        raise InputError(
+            f"scene manifest {manifest_path}: scene {scene['id']!r} is missing key {exc}"
+        ) from exc
     rendered = simulate.render_scene(spec)
     scene_dir = out_root / scene["id"]
     scene_dir.mkdir(parents=True, exist_ok=True)
@@ -186,15 +215,20 @@ def _simulate_one(arg):
     return scene["id"]
 
 
+def _scene_record(scene_dir):
+    """(reference_mic, number of sources) from a simulated scene's scene.json."""
+    with open(scene_dir / "scene.json", "r", encoding="utf-8") as f:
+        record = json.load(f)
+    return int(record["reference_mic"]), len(record["sources"])
+
+
 def load_scene_masks(scene_dir, config, stft_config):
-    """Oracle masks from the scene's reference images, or imported masks.
+    """Oracle masks at the scene's reference mic, or imported masks.
 
     An imported tensor with one stream per source plus one has noise last.
     """
     sep = config["separator"]
-    ref_mic = int(config["ref_mic"])
-    with open(scene_dir / "scene.json", "r", encoding="utf-8") as f:
-        num_sources = len(json.load(f)["sources"])
+    ref_mic, num_sources = _scene_record(scene_dir)
     if sep["mask_import_dir"]:
         mask_set = masks.MaskSet.load(Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns")
         if mask_set.num_streams == num_sources + 1:
@@ -202,11 +236,6 @@ def load_scene_masks(scene_dir, config, stft_config):
             mask_set = masks.MaskSet(mask_set.masks, labels)
         return mask_set
 
-    mixture = audio_io.read_wav(scene_dir / "mixture.wav")
-    if not 0 <= ref_mic < mixture.num_channels:
-        raise ConfigurationError(
-            f"ref_mic {ref_mic} out of range for {mixture.num_channels} channels"
-        )
     images = []
     for k in range(1, num_sources + 1):
         path = scene_dir / f"source_{k}.wav"
@@ -214,10 +243,12 @@ def load_scene_masks(scene_dir, config, stft_config):
             raise ConfigurationError(
                 f"oracle masks requested but reference {path} is missing"
             )
-        images.append(stft(audio_io.read_wav(path), stft_config).channel(ref_mic))
-    images.append(stft(audio_io.read_wav(scene_dir / "noise.wav"), stft_config).channel(ref_mic))
-    mix_spec = stft(mixture, stft_config).channel(ref_mic)
-    return masks.oracle_mask(images, sep["mask_oracle_kind"], mix_spec)
+        images.append(audio_io.read_wav(path))
+    images.append(audio_io.read_wav(scene_dir / "noise.wav"))
+    mixture = audio_io.read_wav(scene_dir / "mixture.wav")
+    return masks.oracle_mask_from_waveforms(
+        mixture, images, sep["mask_oracle_kind"], stft_config, ref_mic
+    )
 
 
 def cmd_separate(config):
@@ -231,7 +262,7 @@ def cmd_separate(config):
 
 def _separate_one(arg):
     scene_dir, config, stft_config = arg
-    ref_mic = int(config["ref_mic"])
+    ref_mic, _ = _scene_record(scene_dir)
     method = config["separator"]["method"]
     mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     mask_set = load_scene_masks(scene_dir, config, stft_config)
@@ -293,10 +324,7 @@ def cmd_evaluate(config):
 def _evaluate_one(arg):
     scene_dir, config, metric_name, metric_config = arg
     started = time.monotonic()
-    with open(scene_dir / "scene.json", "r", encoding="utf-8") as f:
-        scene_meta = json.load(f)
-    ref_mic = int(scene_meta["reference_mic"])
-    num_sources = len(scene_meta["sources"])
+    ref_mic, num_sources = _scene_record(scene_dir)
 
     references = []
     for k in range(1, num_sources + 1):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorio
-from .dsp import Spectrogram, istft, stft
+from .dsp import MultichannelWaveform, Spectrogram, istft, stft
 from .errors import ConfigurationError, InputError
 
 MASK_EPS = 1e-12
@@ -113,6 +113,32 @@ def oracle_mask(images, kind, mixture):
     return MaskSet(masks, labels)
 
 
+def _reference_spectrogram(waveform, config, ref_mic):
+    """STFT of channel ref_mic alone; equals stft(waveform, config).channel(ref_mic)."""
+    row = MultichannelWaveform(waveform.channel(ref_mic), waveform.sample_rate)
+    return stft(row, config)
+
+
+def oracle_mask_from_waveforms(mixture, images, kind, config, ref_mic):
+    """Oracle masks of a scene from its waveforms, at the reference microphone.
+
+    Only channel ref_mic of each waveform is transformed.
+
+    Args:
+        mixture: multichannel mixture waveform.
+        images: K source images followed by the noise image, multichannel
+            waveforms with the mixture's channels and length.
+        kind: "ibm", "irm" or "psm", as in oracle_mask.
+        config: StftConfig of the masks.
+        ref_mic: reference microphone, the scene's reference_mic.
+
+    Returns:
+        MaskSet with K speaker streams plus a noise stream.
+    """
+    specs = [_reference_spectrogram(image, config, ref_mic) for image in images]
+    return oracle_mask(specs, kind, _reference_spectrogram(mixture, config, ref_mic))
+
+
 def apply_mask(mask, spec):
     """Point-wise product of a real mask with a single-channel spectrogram."""
     mask = np.asarray(mask, dtype=np.float64)
@@ -131,11 +157,11 @@ def apply_mask(mask, spec):
 def separate_masking(mixture, mask_set, config, ref_mic=0):
     """Mask-based separation at the reference channel.
 
-    STFT of the mixture, per-speaker mask application on channel ref_mic,
+    STFT of the mixture's channel ref_mic, per-speaker mask application,
     inverse STFT. The noise stream, if present, is not rendered.
 
     Returns:
         list of K single-channel MultichannelWaveforms.
     """
-    ref = stft(mixture, config).channel(ref_mic)
+    ref = _reference_spectrogram(mixture, config, ref_mic)
     return [istft(apply_mask(mask_set.stream(k), ref)) for k in mask_set.speaker_indices]

@@ -24,8 +24,7 @@ from sepfront import (
     si_sdr,
 )
 from sepfront.beamform import separate_mvdr
-from sepfront.dsp import stft
-from sepfront.masks import oracle_mask
+from sepfront.masks import oracle_mask_from_waveforms
 
 NUM_SCENES = 100
 NUM_MICS = 8
@@ -68,12 +67,11 @@ def make_scene(index):
     )
 
 
-def mvdr_scene_scores(scene, stft_config=StftConfig(512, 128), ref_mic=0):
+def mvdr_scene_scores(scene, stft_config=StftConfig(512, 128)):
     """(input_db, aligned output_db) per reference speaker for oracle-IRM MVDR."""
-    mix_spec = stft(scene.mixture, stft_config)
-    images = [stft(im, stft_config).channel(ref_mic) for im in scene.source_images]
-    images.append(stft(scene.noise_image, stft_config).channel(ref_mic))
-    mask_set = oracle_mask(images, "irm", mix_spec.channel(ref_mic))
+    ref_mic = scene.manifest["reference_mic"]
+    images = [*scene.source_images, scene.noise_image]
+    mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", stft_config, ref_mic)
     estimates, _ = separate_mvdr(scene.mixture, mask_set, stft_config, ref_mic)
 
     inputs = input_sdr(scene, si_sdr)

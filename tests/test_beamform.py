@@ -12,9 +12,9 @@ from sepfront.beamform import (
     separate_mvdr,
     spatial_covariance,
 )
-from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig, stft
+from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig
 from sepfront.errors import ConfigurationError, InputError
-from sepfront.masks import MaskSet, oracle_mask
+from sepfront.masks import MaskSet, oracle_mask_from_waveforms
 from sepfront.metrics import si_sdr
 from sepfront.simulate import SceneSpec, SourceSpec, linear_array, render_scene
 from sepfront import tensorio
@@ -260,13 +260,6 @@ class TestApplyBeamformer:
             apply_beamformer(BeamformerWeights(w, 0), spec)
 
 
-def oracle_irm_masks(scene, cfg, ref_mic=0):
-    mix = stft(scene.mixture, cfg).channel(ref_mic)
-    images = [stft(im, cfg).channel(ref_mic) for im in scene.source_images]
-    images.append(stft(scene.noise_image, cfg).channel(ref_mic))
-    return oracle_mask(images, "irm", mix)
-
-
 class TestSeparateMvdr:
     def test_single_speaker_noiseless_distortionless(self, rng):
         n = 2 * FS
@@ -294,7 +287,8 @@ class TestSeparateMvdr:
                 seed=3,
             )
         )
-        mask_set = oracle_irm_masks(scene, CFG)
+        images = [*scene.source_images, scene.noise_image]
+        mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
         swapped = MaskSet(
             np.stack([mask_set.masks[1], mask_set.masks[0], mask_set.masks[2]]),
             mask_set.labels,
@@ -312,7 +306,8 @@ class TestSeparateMvdr:
                 sample_rate=FS,
             )
         )
-        mask_set = oracle_irm_masks(scene, CFG)
+        images = [*scene.source_images, scene.noise_image]
+        mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
         _, flags = separate_mvdr(scene.mixture, mask_set, CFG, 0)
         assert set(flags[0]) == {"passthrough_freqs", "zero_mass_freqs", "loading"}
 
@@ -324,7 +319,8 @@ class TestSeparateMvdr:
                 sample_rate=FS,
             )
         )
-        mask_set = oracle_irm_masks(scene, CFG)
+        images = [*scene.source_images, scene.noise_image]
+        mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
         with pytest.raises(ConfigurationError):
             separate_mvdr(scene.mixture, mask_set, CFG, ref_mic=7)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,13 @@ from conftest import speech_like
 from sepfront import audio_io, cli
 from sepfront.beamform import separate_mvdr
 from sepfront.dsp import StftConfig
-from sepfront.masks import MaskSet
+from sepfront.masks import MaskSet, oracle_mask_from_waveforms
 
 FS = 16000
 
 
 def write_manifest(base, num_scenes=2, num_sources=2, num_mics=4, seconds=0.5,
-                   noise_snr=15.0, seed0=100):
+                   noise_snr=15.0, seed0=100, reference_mic=0):
     """Manifest plus dry WAVs under base; returns the manifest path."""
     base = Path(base)
     (base / "dry").mkdir(parents=True, exist_ok=True)
@@ -29,7 +30,7 @@ def write_manifest(base, num_scenes=2, num_sources=2, num_mics=4, seconds=0.5,
             sources.append(
                 {"path": rel, "azimuth": 0.3 + 1.2 * k, "elevation": 0.0, "gain": 1.0}
             )
-        scene = {"id": f"scene_{i:04d}", "seed": seed0 + i, "reference_mic": 0,
+        scene = {"id": f"scene_{i:04d}", "seed": seed0 + i, "reference_mic": reference_mic,
                  "sources": sources}
         if noise_snr is not None:
             scene["noise"] = {"kind": "white_gaussian", "snr_db": noise_snr}
@@ -67,6 +68,60 @@ def base_config(manifest, out_dir, **kwargs):
     return config
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "entry, key",
+        [({"seperator": {"method": "masking"}}, "'seperator'"),
+         ({"stft": 5}, "'stft'"),
+         ({"ref_mic": 0}, "'ref_mic'"),
+         ({"metric": {"taps": 512}}, "'metric.taps'")],
+        ids=["typo", "non-object-section", "removed-ref-mic", "unknown-field"],
+    )
+    def test_unknown_or_mistyped_key_exit_code(self, entry, key, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out"), **entry}
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("stft", "fft_size", 512.0), ("stft", "hop", True), ("metric", "ci_sdr_taps", "512"),
+         ("separator", "mask_import_dir", 5)],
+    )
+    def test_wrong_typed_field_exit_code(self, section, field, value, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out"),
+                  section: {field: value}}
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_CONFIG
+        assert f"'{section}.{field}'" in capsys.readouterr().err
+
+    def test_null_fft_size_follows_window_length(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"stft": {"window_length": 256, "hop": 64, "fft_size": None}}))
+        assert cli._stft_config(cli.load_config(path)) == StftConfig(256, 64)
+
+    def test_readme_and_field_types_have_the_default_keys(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Pipeline config \(JSON\)\s+```json\n(.*?)```", readme, re.S)
+        documented = json.loads(block.group(1))
+
+        def keys(config):
+            return {k: keys(v) if isinstance(v, dict) else None for k, v in config.items()}
+
+        assert keys(documented) == keys(cli.DEFAULT_CONFIG)
+        assert keys(cli.FIELD_TYPES) == {k: keys(cli.DEFAULT_CONFIG[k]) for k in cli.FIELD_TYPES}
+
+
+class TestAudioIo:
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    def test_read_wav_rows_are_contiguous(self, fmt, rng, tmp_path):
+        samples = rng.uniform(-0.5, 0.5, (3, 1000))
+        audio_io.write_wav(tmp_path / "x.wav", audio_io.MultichannelWaveform(samples, FS), fmt)
+        read = audio_io.read_wav(tmp_path / "x.wav")
+        assert read.samples.flags.c_contiguous
+        np.testing.assert_allclose(read.samples, samples, atol=1.0 / 32768.0)
+
+
 class TestSimulate:
     def test_single_source_noiseless_mixture_equals_image(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1, num_sources=1, noise_snr=None)
@@ -99,6 +154,16 @@ class TestSimulate:
             total = total + audio_io.read_wav(scene_dir / "noise.wav").samples
             # float32 storage: decomposition holds to float32 rounding
             assert np.abs(total - mixture).max() < 1e-6
+
+    def test_manifest_scene_missing_key_exit_code(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        content = json.loads(manifest.read_text())
+        del content["scenes"][1]["sources"][0]["azimuth"]
+        manifest.write_text(json.dumps(content))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "scene_0001" in err and "'azimuth'" in err
 
     def test_missing_manifest_exit_code(self, tmp_path):
         code = cli.main(
@@ -274,6 +339,21 @@ class TestRunAll:
         # report files exist
         for name in ("report.jsonl", "report.json", "report.txt"):
             assert (tmp_path / "out" / name).exists()
+
+    def test_scene_reference_mic_steers_separation(self, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1, num_mics=4, reference_mic=2)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
+        images = [audio_io.read_wav(scene_dir / name)
+                  for name in ("source_1.wav", "source_2.wav", "noise.wav")]
+        stft_config = StftConfig(512, 128)
+        mask_set = oracle_mask_from_waveforms(mixture, images, "irm", stft_config, 2)
+        api_out, _ = separate_mvdr(mixture, mask_set, stft_config, 2)
+        for k, est in enumerate(api_out, start=1):
+            written = audio_io.read_wav(scene_dir / f"est_{k}.wav").samples[0]
+            assert np.array_equal(written, est.samples[0].astype(np.float32))
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=3)

@@ -3,10 +3,19 @@ import struct
 import numpy as np
 import pytest
 
+import pilot_suite
 from conftest import speech_like
 from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig, istft, stft
 from sepfront.errors import ConfigurationError, InputError
-from sepfront.masks import MASK_EPS, MaskSet, apply_mask, oracle_mask, separate_masking
+from sepfront.masks import (
+    MASK_EPS,
+    MASK_KINDS,
+    MaskSet,
+    apply_mask,
+    oracle_mask,
+    oracle_mask_from_waveforms,
+    separate_masking,
+)
 from sepfront.metrics import si_sdr
 from sepfront.simulate import NoiseSpec, SceneSpec, SourceSpec, linear_array, render_scene
 from sepfront import tensorio
@@ -112,6 +121,32 @@ class TestOracleMask:
             oracle_mask(specs, "wiener", specs[0])
 
 
+def full_array_reference(waveform, ref_mic):
+    """Channel ref_mic of the STFT of every channel: the reference for one-channel paths."""
+    return stft(waveform, CFG).channel(ref_mic)
+
+
+class TestOracleMaskFromWaveforms:
+    @pytest.mark.parametrize("ref_mic", [0, 3])
+    def test_matches_full_array_stft(self, ref_mic):
+        for index in range(6):
+            scene = render_scene(pilot_suite.make_scene(index))
+            images = [*scene.source_images, scene.noise_image]
+            specs = [full_array_reference(im, ref_mic) for im in images]
+            mixture = full_array_reference(scene.mixture, ref_mic)
+            for kind in MASK_KINDS:
+                expected = oracle_mask(specs, kind, mixture)
+                got = oracle_mask_from_waveforms(scene.mixture, images, kind, CFG, ref_mic)
+                assert np.array_equal(got.masks, expected.masks)
+                assert got.labels == expected.labels
+
+    def test_ref_mic_out_of_range(self):
+        scene = render_scene(pilot_suite.make_scene(0))
+        images = [*scene.source_images, scene.noise_image]
+        with pytest.raises(ConfigurationError):
+            oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, pilot_suite.NUM_MICS)
+
+
 class TestNoiseMask:
     def test_explicit_noise_stream_used(self, rng):
         specs = random_specs(rng, 2)
@@ -188,16 +223,24 @@ class TestSeparateMasking:
                 seed=seed,
             )
             scene = render_scene(spec)
-            mix_spec = stft(scene.mixture, CFG).channel(0)
-            images = [stft(im, CFG).channel(0) for im in scene.source_images]
-            images.append(stft(scene.noise_image, CFG).channel(0))
-            mask_set = oracle_mask(images, "irm", mix_spec)
+            images = [*scene.source_images, scene.noise_image]
+            mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
             outs = separate_masking(scene.mixture, mask_set, CFG, 0)
             for k, out in enumerate(outs):
                 ref = scene.source_images[k].samples[0]
                 gained = si_sdr(out.samples[0], ref)
                 baseline = si_sdr(scene.mixture.samples[0], ref)
                 assert gained > baseline
+
+    def test_matches_full_array_stft(self):
+        scene = render_scene(pilot_suite.make_scene(1))
+        images = [*scene.source_images, scene.noise_image]
+        mask_set = oracle_mask_from_waveforms(scene.mixture, images, "psm", CFG, 5)
+        mixture = full_array_reference(scene.mixture, 5)
+        outs = separate_masking(scene.mixture, mask_set, CFG, 5)
+        for k, out in zip(mask_set.speaker_indices, outs):
+            expected = istft(apply_mask(mask_set.stream(k), mixture))
+            assert np.array_equal(out.samples, expected.samples)
 
     def test_config_mismatch(self, rng):
         x = speech_like(rng, 4000)
