@@ -6,6 +6,8 @@ from scipy.io import wavfile
 from .dsp import MultichannelWaveform
 from .errors import InputError
 
+WAV_FORMATS = ("float32", "pcm16")
+
 
 def read_wav(path):
     """Read a WAV file into a MultichannelWaveform (float64, channels x length)."""

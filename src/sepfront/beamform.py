@@ -29,14 +29,6 @@ class SpatialCovarianceSet:
     mass: np.ndarray  # (F,) real, sum of mask weights per frequency
     zero_mass: np.ndarray  # (F,) bool, frequencies with no mask support
 
-    @property
-    def num_freqs(self):
-        return self.matrices.shape[0]
-
-    @property
-    def num_channels(self):
-        return self.matrices.shape[1]
-
 
 @dataclass(frozen=True)
 class BeamformerWeights:
@@ -108,12 +100,12 @@ def _check_hermitian(matrices, name):
         raise InputError(f"{name} covariance is not Hermitian within tolerance")
 
 
-def mvdr_weights(target, interference, ref_mic, loading=DEFAULT_LOADING):
+def mvdr_weights(target, interference, ref_mic):
     """Souden-form MVDR weights per frequency.
 
     Per frequency: diagonal-load the interference covariance with
-    loading * trace/M, solve for inv(V_i) V_t, trace-normalize, and take the
-    reference-mic column. Frequencies with near-zero trace fall back to the
+    DEFAULT_LOADING * trace/M, solve for inv(V_i) V_t, trace-normalize, and
+    take the reference-mic column. Frequencies with near-zero trace fall back to the
     one-hot passthrough weight and are flagged.
     """
     vt = target.matrices
@@ -130,7 +122,7 @@ def mvdr_weights(target, interference, ref_mic, loading=DEFAULT_LOADING):
 
     trace_i = np.real(np.trace(vi, axis1=1, axis2=2))
     solved = np.flatnonzero(trace_i > 0.0)
-    loading_term = (loading * trace_i[solved] / num_mics)[:, np.newaxis, np.newaxis]
+    loading_term = (DEFAULT_LOADING * trace_i[solved] / num_mics)[:, np.newaxis, np.newaxis]
     ratio = np.linalg.solve(vi[solved] + loading_term * np.eye(num_mics), vt[solved])
     tr = np.trace(ratio, axis1=1, axis2=2)
     usable = np.abs(tr) >= TRACE_TOL * num_mics
@@ -158,7 +150,7 @@ def apply_beamformer(weights, spec):
     )
 
 
-def separate_mvdr(mixture, mask_set, config, ref_mic=0, loading=DEFAULT_LOADING):
+def separate_mvdr(mixture, mask_set, config, ref_mic):
     """Full mask-based MVDR chain: STFT, covariances, MVDR, inverse STFT.
 
     The noise covariance uses the mask set's noise stream, materialized as
@@ -177,14 +169,14 @@ def separate_mvdr(mixture, mask_set, config, ref_mic=0, loading=DEFAULT_LOADING)
     flags = []
     for pos, _ in enumerate(speaker_idx):
         interference = interference_covariance(covs + [noise_cov], pos)
-        weights = mvdr_weights(covs[pos], interference, ref_mic, loading=loading)
+        weights = mvdr_weights(covs[pos], interference, ref_mic)
         beamformed = apply_beamformer(weights, spec)
         waveforms.append(istft(beamformed))
         flags.append(
             {
                 "passthrough_freqs": int(weights.passthrough.sum()),
                 "zero_mass_freqs": int(covs[pos].zero_mass.sum()),
-                "loading": loading,
+                "loading": DEFAULT_LOADING,
             }
         )
     return waveforms, flags

@@ -36,9 +36,18 @@ DEFAULT_CONFIG = {
     "metric": {"name": "si_sdr", "ci_sdr_taps": 512, "cap_db": 100.0},
 }
 
+COMMANDS = ("simulate", "separate", "evaluate", "run-all")
 
-# JSON types each section field accepts; a bool is not taken as an int
+SEPARATION_METHODS = ("mvdr", "masking")
+
+# JSON types each config value accepts; a bool is not taken as an int
 FIELD_TYPES = {
+    "command": (str,),
+    "scene_manifest": (str, type(None)),
+    "output_dir": (str,),
+    "seed": (int,),
+    "jobs": (int,),
+    "wav_format": (str,),
     "stft": {"window_length": (int,), "hop": (int,), "fft_size": (int, type(None)),
              "center_padding": (bool,)},
     "separator": {"method": (str,), "mask_oracle_kind": (str,),
@@ -46,14 +55,29 @@ FIELD_TYPES = {
     "metric": {"name": (str,), "ci_sdr_taps": (int,), "cap_db": (int, float)},
 }
 
+# the values a string setting may take, keyed by its dotted name
+CHOICES = {
+    "command": COMMANDS,
+    "wav_format": audio_io.WAV_FORMATS,
+    "separator.method": SEPARATION_METHODS,
+    "separator.mask_oracle_kind": masks.MASK_KINDS,
+    "metric.name": metrics.METRIC_FUNCTIONS,
+}
+
+# the least value an integer setting may take
+MINIMUMS = {"seed": 0, "jobs": 1}
+
 
 def load_config(path=None, overrides=None):
     """Merge defaults, optional config file, and CLI flag overrides.
 
-    The file may set only the keys of DEFAULT_CONFIG; sections are objects
-    whose fields have the types in FIELD_TYPES.
+    The file may set only the keys of DEFAULT_CONFIG, with the types in
+    FIELD_TYPES; sections are objects. Every merged value is then checked
+    against CHOICES and MINIMUMS and the STFT and metric configs are built,
+    so a bad value fails here, before any stage runs.
     """
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    where = "config" if path is None else f"config file {path}"
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -65,31 +89,56 @@ def load_config(path=None, overrides=None):
         if not isinstance(user, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object")
         for key, value in user.items():
-            if key not in config:
-                raise ConfigurationError(f"config file {path}: unknown key {key!r}")
-            if key in FIELD_TYPES:
-                _check_section(path, key, value)
+            types = FIELD_TYPES.get(key)
+            if types is None:
+                raise ConfigurationError(f"{where}: unknown key {key!r}")
+            if isinstance(types, dict):
+                _check_section(where, key, value)
                 config[key].update(value)
             else:
+                _check_type(where, key, value, types)
                 config[key] = value
     for key, value in (overrides or {}).items():
         if value is not None:
             config[key] = value
+    _check_values(where, config)
     return config
 
 
-def _check_section(path, key, section):
+def _check_section(where, key, section):
     if not isinstance(section, dict):
-        raise ConfigurationError(f"config file {path}: {key!r} must be an object")
+        raise ConfigurationError(f"{where}: {key!r} must be an object")
     for field, value in section.items():
         types = FIELD_TYPES[key].get(field)
         if types is None:
-            raise ConfigurationError(f"config file {path}: unknown key '{key}.{field}'")
-        if type(value) not in types:
+            raise ConfigurationError(f"{where}: unknown key '{key}.{field}'")
+        _check_type(where, f"{key}.{field}", value, types)
+
+
+def _check_type(where, name, value, types):
+    if type(value) not in types:
+        raise ConfigurationError(
+            f"{where}: {name!r} must be {' or '.join(t.__name__ for t in types)}, "
+            f"got {value!r}"
+        )
+
+
+def _check_values(where, config):
+    for name, choices in CHOICES.items():
+        section, _, field = name.rpartition(".")
+        value = config[section][field] if section else config[field]
+        if value not in choices:
             raise ConfigurationError(
-                f"config file {path}: '{key}.{field}' must be "
-                f"{' or '.join(t.__name__ for t in types)}, got {value!r}"
+                f"{where}: {name!r} must be one of {', '.join(choices)}, got {value!r}"
             )
+    for name, least in MINIMUMS.items():
+        if config[name] < least:
+            raise ConfigurationError(f"{where}: {name!r} must be >= {least}, got {config[name]}")
+    for name, build in (("stft", _stft_config), ("metric", _metric_config)):
+        try:
+            build(config)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {name!r}: {exc}") from exc
 
 
 def _stft_config(config):
@@ -160,8 +209,11 @@ def _scene_spec(scene, manifest, base_dir, global_seed):
     )
 
 
-def _scene_dirs(output_dir):
+def _scene_dirs(output_dir, scene_ids=None):
+    """The named scenes' directories, or every scene directory under output_dir."""
     scenes_root = Path(output_dir) / "scenes"
+    if scene_ids is not None:
+        return [scenes_root / scene_id for scene_id in sorted(scene_ids)]
     if not scenes_root.is_dir():
         raise InputError(f"no scenes directory under {output_dir}; run simulate first")
     return sorted(d for d in scenes_root.iterdir() if d.is_dir())
@@ -186,10 +238,10 @@ def cmd_simulate(config):
     scenes = sorted(manifest["scenes"], key=lambda s: s["id"])
     # scenes without their own seed get a distinct deterministic one
     args = [
-        (scene, manifest, config["scene_manifest"], int(config["seed"]) + i, out_root, fmt)
+        (scene, manifest, config["scene_manifest"], config["seed"] + i, out_root, fmt)
         for i, scene in enumerate(scenes)
     ]
-    _map_scenes(_simulate_one, args, int(config["jobs"]))
+    _map_scenes(_simulate_one, args, config["jobs"])
     return [scene["id"] for scene in scenes]
 
 
@@ -251,12 +303,13 @@ def load_scene_masks(scene_dir, config, stft_config):
     )
 
 
-def cmd_separate(config):
-    """Write est_k.wav per speaker (plus a flags sidecar) for every scene."""
-    scene_dirs = _scene_dirs(config["output_dir"])
+def cmd_separate(config, scene_ids=None):
+    """Write est_k.wav per speaker (plus a flags sidecar) for the scenes named
+    in scene_ids, or for every scene under output_dir."""
+    scene_dirs = _scene_dirs(config["output_dir"], scene_ids)
     stft_config = _stft_config(config)
     args = [(d, config, stft_config) for d in scene_dirs]
-    _map_scenes(_separate_one, args, int(config["jobs"]))
+    _map_scenes(_separate_one, args, config["jobs"])
     return [d.name for d in scene_dirs]
 
 
@@ -267,13 +320,11 @@ def _separate_one(arg):
     mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     mask_set = load_scene_masks(scene_dir, config, stft_config)
 
-    if method == "masking":
+    if method == "mvdr":
+        estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
+    else:  # "masking"; load_config admits only SEPARATION_METHODS
         estimates = masks.separate_masking(mixture, mask_set, stft_config, ref_mic)
         flags = [{} for _ in estimates]
-    elif method == "mvdr":
-        estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
-    else:
-        raise ConfigurationError(f"unknown separation method: {method!r}")
 
     fmt = config["wav_format"]
     # evaluate scores every est_k.wav it finds, so none may outlive this run
@@ -286,13 +337,14 @@ def _separate_one(arg):
     return scene_dir.name
 
 
-def cmd_evaluate(config):
-    """PIT-aligned scoring of every scene; writes report files and returns the report."""
-    scene_dirs = _scene_dirs(config["output_dir"])
+def cmd_evaluate(config, scene_ids=None):
+    """PIT-aligned scoring of the scenes named in scene_ids, or of every scene
+    under output_dir; writes report files and returns the report."""
+    scene_dirs = _scene_dirs(config["output_dir"], scene_ids)
     metric_name = config["metric"]["name"]
     metric_config = _metric_config(config)
     args = [(d, config, metric_name, metric_config) for d in scene_dirs]
-    records = _map_scenes(_evaluate_one, args, int(config["jobs"]))
+    records = _map_scenes(_evaluate_one, args, config["jobs"])
     records.sort(key=lambda r: r["scene_id"])
 
     all_scores = [s for r in records for s in r["output_db"]]
@@ -381,19 +433,15 @@ def render_table(records, report, metric_name):
     return "\n".join(lines) + "\n"
 
 
-COMMANDS = ("simulate", "separate", "evaluate", "run-all")
-
-
 def run(config):
+    """Run the configured stages; run-all separates and scores only the
+    scenes its own simulate stage wrote."""
     command = config["command"]
-    if command not in COMMANDS:
-        raise ConfigurationError(f"unknown command: {command!r}")
-    if command in ("simulate", "run-all"):
-        cmd_simulate(config)
+    scene_ids = cmd_simulate(config) if command in ("simulate", "run-all") else None
     if command in ("separate", "run-all"):
-        cmd_separate(config)
+        cmd_separate(config, scene_ids)
     if command in ("evaluate", "run-all"):
-        return cmd_evaluate(config)
+        return cmd_evaluate(config, scene_ids)
     return None
 
 

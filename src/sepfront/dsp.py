@@ -41,7 +41,6 @@ class StftConfig:
 
     window_length: int = 512
     hop: int = 128
-    window_kind: str = "hann"
     fft_size: int = None
     center_padding: bool = True
 
@@ -62,7 +61,7 @@ class StftConfig:
         period = np.bincount(np.arange(self.window_length) % self.hop, weights=wsq)
         if not np.all(period > _COVERAGE_TOL):
             raise ConfigurationError(
-                f"window/hop pair ({self.window_kind}, {self.window_length}/{self.hop}) "
+                f"window/hop pair (hann, {self.window_length}/{self.hop}) "
                 "does not cover all samples (COLA violated)"
             )
 
@@ -71,7 +70,7 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
     def window(self):
-        return make_window(self.window_kind, self.window_length)
+        return make_window("hann", self.window_length)
 
     def num_frames(self, length):
         """Frame count for a signal of the given length."""

@@ -154,7 +154,7 @@ def apply_mask(mask, spec):
     )
 
 
-def separate_masking(mixture, mask_set, config, ref_mic=0):
+def separate_masking(mixture, mask_set, config, ref_mic):
     """Mask-based separation at the reference channel.
 
     STFT of the mixture's channel ref_mic, per-speaker mask application,

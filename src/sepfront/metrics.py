@@ -13,11 +13,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .dsp import MultichannelWaveform, stft
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 
 # above this size, exhaustive permutation search gives way to the
 # rectangular-assignment solver
 EXHAUSTIVE_LIMIT = 6
+
+# ridge added to the diagonal of the CI-SDR Gram matrix
+FIR_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -26,13 +29,12 @@ class MetricConfig:
 
     ci_sdr_taps: int = 512
     cap_db: float = 100.0
-    eps: float = 1e-12
 
     def __post_init__(self):
         if self.ci_sdr_taps < 1:
-            raise InputError("ci_sdr_taps must be >= 1")
+            raise ConfigurationError("ci_sdr_taps must be >= 1")
         if not (np.isfinite(self.cap_db) and self.cap_db > 0):
-            raise InputError("cap_db must be finite and positive")
+            raise ConfigurationError("cap_db must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,13 @@ def si_sdr(estimate, reference, config=MetricConfig()):
     )
 
 
-def _fir_fit(estimate, reference, taps, eps):
+def _fir_fit(estimate, reference, taps):
     """Least-squares FIR h minimizing ||estimate - conv(reference, h)[:L]||.
 
     The Gram matrix of the shifted reference columns is the autocorrelation
     Toeplitz matrix minus a rank-limited tail correction from the truncation
     at L; both parts are computed exactly and the system is solved directly
-    with a ridge of eps on the diagonal.
+    with a ridge of FIR_RIDGE on the diagonal.
     """
     L = len(reference)
     r = np.array([np.dot(reference[: L - d], reference[d:]) for d in range(taps)])
@@ -116,7 +118,7 @@ def _fir_fit(estimate, reference, taps, eps):
     for i in range(1, taps):
         tail[:i, i] = reference[L - i:]
     gram = gram - tail.T @ tail
-    gram[np.diag_indices(taps)] += eps
+    gram[np.diag_indices(taps)] += FIR_RIDGE
 
     cross = np.array([np.dot(estimate[i:], reference[: L - i]) for i in range(taps)])
     h = np.linalg.solve(gram, cross)
@@ -137,7 +139,7 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
         )
     if float(np.dot(ref, ref)) == 0.0:
         raise InputError("reference signal is all-zero")
-    _, fitted = _fir_fit(est, ref, config.ci_sdr_taps, config.eps)
+    _, fitted = _fir_fit(est, ref, config.ci_sdr_taps)
     return _ratio_db(
         float(np.dot(fitted, fitted)),
         float(np.sum((est - fitted) ** 2)),

@@ -123,16 +123,16 @@ class SceneOutput:
         return len(self.source_images)
 
 
-def fractional_delay(signal, delay, taps=FRACTIONAL_DELAY_TAPS):
+def fractional_delay(signal, delay):
     """Delay a single-channel signal by a real number of samples.
 
     Integer delays are exact shifts; fractional parts use a Hann-windowed
-    sinc interpolator. Samples shifted past either edge are zero-padded.
+    sinc interpolator of FRACTIONAL_DELAY_TAPS taps. Samples shifted past
+    either edge are zero-padded.
 
     Args:
         signal: 1-D float array.
         delay: delay in samples, may be negative; |delay| < len(signal).
-        taps: interpolator length (odd).
     """
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
@@ -146,9 +146,9 @@ def fractional_delay(signal, delay, taps=FRACTIONAL_DELAY_TAPS):
     shift = int(np.floor(delay))
     frac = delay - shift
 
-    half = taps // 2
+    half = FRACTIONAL_DELAY_TAPS // 2
     center = half + frac
-    j = np.arange(taps, dtype=np.float64)
+    j = np.arange(FRACTIONAL_DELAY_TAPS, dtype=np.float64)
     # Hann window centered on the (fractional) sinc center
     kernel = np.sinc(j - center) * (0.5 + 0.5 * np.cos(np.pi * (j - center) / (half + 1)))
     full = np.convolve(x, kernel)
@@ -273,7 +273,7 @@ def _render_noise(spec, source_images, num_mics, length):
     return MultichannelWaveform(raw * scale, spec.sample_rate)
 
 
-def input_sdr(scene, metric_fn, **metric_kwargs):
+def input_sdr(scene, metric_fn):
     """Score the unprocessed mixture against each source image.
 
     Evaluates metric_fn(mixture_ref_channel, image_ref_channel) per source at
@@ -282,6 +282,6 @@ def input_sdr(scene, metric_fn, **metric_kwargs):
     ref = scene.manifest["reference_mic"]
     mix = scene.mixture.channel(ref)
     return [
-        float(metric_fn(mix, image.channel(ref), **metric_kwargs))
+        float(metric_fn(mix, image.channel(ref)))
         for image in scene.source_images
     ]

@@ -9,7 +9,9 @@ Layout (little-endian):
 Complex tensors are stored with a trailing axis of size 2 (real, imag).
 """
 
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -29,23 +31,33 @@ def save_tensor(path, array):
 
 
 def load_tensor(path):
-    """Read a tensor written by save_tensor; returns a float32 ndarray."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise InputError(f"{path}: not a tensor file (bad magic {magic!r})")
-        try:
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-        except struct.error as exc:
-            raise InputError(f"{path}: truncated tensor header ({exc})") from exc
-        data = np.frombuffer(f.read(), dtype="<f4")
-    expected = int(np.prod(shape)) if shape else 1
-    if data.size != expected:
+    """Read a tensor written by save_tensor; returns a float32 ndarray.
+
+    The header is checked against the file's size before its dimensions are
+    read, and the element count is an exact integer, so no header, however
+    corrupt, makes this allocate more than the file holds.
+    """
+    blob = Path(path).read_bytes()
+    if blob[:4] != MAGIC:
+        raise InputError(f"{path}: not a tensor file (bad magic {blob[:4]!r})")
+    if len(blob) < 8:
+        raise InputError(f"{path}: truncated tensor header (no ndim)")
+    (ndim,) = struct.unpack_from("<I", blob, 4)
+    offset = 8 + 4 * ndim
+    if len(blob) < offset:
+        raise InputError(f"{path}: truncated tensor header ({ndim} dimensions promised)")
+    shape = struct.unpack_from(f"<{ndim}I", blob, 8)
+    expected = math.prod(shape)
+    payload = len(blob) - offset
+    if payload != 4 * expected:
         raise InputError(
-            f"{path}: payload has {data.size} values, header promises {expected}"
+            f"{path}: payload has {payload} bytes, header promises {expected} float32 values"
         )
-    return data.reshape(shape)
+    data = np.frombuffer(blob, dtype="<f4", offset=offset)
+    try:
+        return data.reshape(shape)
+    except ValueError as exc:  # an empty shape whose other dimensions numpy cannot index
+        raise InputError(f"{path}: unsupported tensor shape {shape} ({exc})") from exc
 
 
 def save_complex_tensor(path, array):

@@ -95,6 +95,32 @@ class TestConfig:
         assert run_main(tmp_path, config, "run-all") == cli.EXIT_CONFIG
         assert f"'{section}.{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [({"command": "sim"}, "'command'"),
+         ({"seed": "x"}, "'seed'"),
+         ({"seed": -1}, "'seed'"),
+         ({"jobs": True}, "'jobs'"),
+         ({"jobs": 0}, "'jobs'"),
+         ({"output_dir": 5}, "'output_dir'"),
+         ({"scene_manifest": 5}, "'scene_manifest'"),
+         ({"wav_format": "pcm24"}, "'wav_format'"),
+         ({"stft": {"hop": 0}}, "'stft': hop"),
+         ({"separator": {"method": "beam"}}, "'separator.method'"),
+         ({"separator": {"mask_oracle_kind": "cirm"}}, "'separator.mask_oracle_kind'"),
+         ({"metric": {"name": "sdr"}}, "'metric.name'"),
+         ({"metric": {"ci_sdr_taps": 0}}, "'metric': ci_sdr_taps"),
+         ({"metric": {"cap_db": -1}}, "'metric': cap_db")],
+    )
+    def test_bad_value_exits_at_load(self, entry, key, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out"), **entry}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "scenes").exists()
+
     def test_null_fft_size_follows_window_length(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"stft": {"window_length": 256, "hop": 64, "fft_size": None}}))
@@ -109,7 +135,7 @@ class TestConfig:
             return {k: keys(v) if isinstance(v, dict) else None for k, v in config.items()}
 
         assert keys(documented) == keys(cli.DEFAULT_CONFIG)
-        assert keys(cli.FIELD_TYPES) == {k: keys(cli.DEFAULT_CONFIG[k]) for k in cli.FIELD_TYPES}
+        assert keys(cli.FIELD_TYPES) == keys(cli.DEFAULT_CONFIG)
 
 
 class TestAudioIo:
@@ -354,6 +380,17 @@ class TestRunAll:
         for k, est in enumerate(api_out, start=1):
             written = audio_io.read_wav(scene_dir / f"est_{k}.wav").samples[0]
             assert np.array_equal(written, est.samples[0].astype(np.float32))
+
+    def test_scores_only_its_manifest_scenes(self, tmp_path):
+        first = write_manifest(tmp_path / "a", num_scenes=2)
+        second = write_manifest(tmp_path / "b", num_scenes=1)
+        content = json.loads(second.read_text())
+        content["scenes"][0]["id"] = "other_0000"
+        second.write_text(json.dumps(content))
+        cli.run(base_config(first, tmp_path / "out"))
+        report = cli.run(base_config(second, tmp_path / "out"))
+        assert [r["scene_id"] for r in report["records"]] == ["other_0000"]
+        assert report["aggregate"]["num_scenes"] == 1
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=3)

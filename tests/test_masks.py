@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import pilot_suite
 from conftest import speech_like
@@ -282,6 +283,47 @@ class TestTensorFormat:
         path.write_bytes(header)
         with pytest.raises(InputError, match="truncated.tns"):
             tensorio.load_tensor(path)
+
+    def test_overflowing_dimensions_rejected(self, tmp_path):
+        # 65536**4 wraps to 0 in a fixed-width product, matching an empty payload
+        path = tmp_path / "overflow.tns"
+        path.write_bytes(b"TNS1" + struct.pack("<5I", 4, *(65536,) * 4))
+        with pytest.raises(InputError, match="overflow.tns"):
+            tensorio.load_tensor(path)
+
+    def test_header_bounded_by_file_size(self, tmp_path):
+        path = tmp_path / "huge.tns"
+        path.write_bytes(b"TNS1" + struct.pack("<I", 0xFFFFFFFF) + b"\x00" * 8)
+        with pytest.raises(InputError, match="truncated"):
+            tensorio.load_tensor(path)
+
+    def test_unrepresentable_empty_shape_rejected(self, tmp_path):
+        # zero elements, but numpy cannot build a (0, 2**32-1, 2**32-1) array
+        path = tmp_path / "empty.tns"
+        path.write_bytes(b"TNS1" + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(InputError, match="empty.tns"):
+            tensorio.load_tensor(path)
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda dims, extra, payload: struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+            + payload[: 4 * int(np.prod(dims, dtype=object)) + extra],
+            st.lists(st.sampled_from([0, 1, 2, 3, 65536, 2**32 - 1]), max_size=4),
+            st.integers(-3, 3),
+            st.binary(min_size=40, max_size=40),
+        ),
+    ))
+    def test_arbitrary_bytes_load_or_input_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("fuzz") / "t.tns"
+        path.write_bytes(tensorio.MAGIC + body)
+        try:
+            tensor = tensorio.load_tensor(path)
+        except InputError:
+            return
+        assert tensor.dtype == np.float32
+        assert tensor.size == int(np.prod(tensor.shape, dtype=object))
+        assert 4 * tensor.size == len(body) - 4 - 4 * tensor.ndim
 
     def test_nan_mask_rejected(self):
         masks = np.ones((2, 3, 4))
