@@ -67,6 +67,12 @@ CHOICES = {
 # the least value an integer setting may take
 MINIMUMS = {"seed": 0, "jobs": 1}
 
+# JSON types of the values a manifest scene, each of its sources and its
+# noise may set; as in FIELD_TYPES, a bool is not taken as a number
+SCENE_FIELD_TYPES = {"seed": (int,), "reference_mic": (int,), "sample_rate": (int,)}
+SOURCE_FIELD_TYPES = {"azimuth": (int, float), "elevation": (int, float), "gain": (int, float)}
+NOISE_FIELD_TYPES = {"snr_db": (int, float)}
+
 
 def load_config(path=None, overrides=None):
     """Merge defaults, optional config file, and CLI flag overrides.
@@ -115,9 +121,9 @@ def _check_section(where, key, section):
         _check_type(where, f"{key}.{field}", value, types)
 
 
-def _check_type(where, name, value, types):
+def _check_type(where, name, value, types, error=ConfigurationError):
     if type(value) not in types:
-        raise ConfigurationError(
+        raise error(
             f"{where}: {name!r} must be {' or '.join(t.__name__ for t in types)}, "
             f"got {value!r}"
         )
@@ -160,9 +166,27 @@ def load_manifest(path):
         raise InputError(f"scene manifest {path} is not valid JSON: {exc}") from exc
     if "scenes" not in manifest:
         raise InputError(f"scene manifest {path} has no 'scenes' list")
-    if not all("id" in scene for scene in manifest["scenes"]):
-        raise InputError(f"scene manifest {path} has a scene without an 'id'")
+    for scene in manifest["scenes"]:
+        if "id" not in scene:
+            raise InputError(f"scene manifest {path} has a scene without an 'id'")
+        _check_type(f"scene manifest {path}: scene {scene['id']!r}", "id", scene["id"], (str,),
+                    InputError)
     return manifest
+
+
+def _check_scene(where, scene):
+    """Type-check the values _scene_spec reads from a manifest scene."""
+    entries = [("", scene, SCENE_FIELD_TYPES)]
+    entries += [(f"sources[{k}].", src, SOURCE_FIELD_TYPES)
+                for k, src in enumerate(scene["sources"])]
+    if scene.get("noise"):
+        entries.append(("noise.", scene["noise"], NOISE_FIELD_TYPES))
+    for prefix, entry, types in entries:
+        for key, allowed in types.items():
+            if key in entry:
+                _check_type(where, prefix + key, entry[key], allowed, InputError)
+    if scene.get("seed", 0) < 0:
+        raise InputError(f"{where}: 'seed' must be >= 0, got {scene['seed']}")
 
 
 def _geometry_from(entry):
@@ -247,12 +271,12 @@ def cmd_simulate(config):
 
 def _simulate_one(arg):
     scene, manifest, manifest_path, global_seed, out_root, fmt = arg
+    where = f"scene manifest {manifest_path}: scene {scene['id']!r}"
     try:
+        _check_scene(where, scene)
         spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
     except KeyError as exc:
-        raise InputError(
-            f"scene manifest {manifest_path}: scene {scene['id']!r} is missing key {exc}"
-        ) from exc
+        raise InputError(f"{where} is missing key {exc}") from exc
     rendered = simulate.render_scene(spec)
     scene_dir = out_root / scene["id"]
     scene_dir.mkdir(parents=True, exist_ok=True)
@@ -327,13 +351,16 @@ def _separate_one(arg):
         flags = [{} for _ in estimates]
 
     fmt = config["wav_format"]
-    # evaluate scores every est_k.wav it finds, so none may outlive this run
+    # evaluate scores only the outputs flags.json lists; no est_*.wav of an
+    # earlier run is left to look like one
     for stale in scene_dir.glob("est_*.wav"):
         stale.unlink()
-    for k, est in enumerate(estimates, start=1):
-        audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
+    outputs = [f"est_{k}.wav" for k in range(1, len(estimates) + 1)]
+    for name, est in zip(outputs, estimates):
+        audio_io.write_wav(scene_dir / name, est, fmt)
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
-        json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
+        json.dump({"method": method, "outputs": outputs, "per_speaker": flags}, f,
+                  indent=2, sort_keys=True)
     return scene_dir.name
 
 
@@ -378,14 +405,20 @@ def _evaluate_one(arg):
     started = time.monotonic()
     ref_mic, num_sources = _scene_record(scene_dir)
 
+    flags_path = scene_dir / "flags.json"
+    try:
+        with open(flags_path, "r", encoding="utf-8") as f:
+            flags = json.load(f)
+        outputs = flags["outputs"]
+    except FileNotFoundError as exc:
+        raise InputError(f"{flags_path} not found; run separate first") from exc
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise InputError(f"{flags_path} does not list the scene's outputs") from exc
+
     references = []
     for k in range(1, num_sources + 1):
         references.append(audio_io.read_wav(scene_dir / f"source_{k}.wav").channel(ref_mic))
-    estimates = []
-    k = 1
-    while (scene_dir / f"est_{k}.wav").exists():
-        estimates.append(audio_io.read_wav(scene_dir / f"est_{k}.wav").channel(0))
-        k += 1
+    estimates = [audio_io.read_wav(scene_dir / name).channel(0) for name in outputs]
     if len(estimates) != len(references):
         raise InputError(
             f"{scene_dir.name}: {len(estimates)} estimates vs {len(references)} references"
@@ -395,12 +428,6 @@ def _evaluate_one(arg):
     mixture_ref = audio_io.read_wav(scene_dir / "mixture.wav").channel(ref_mic)
     input_db = [float(metric_fn(mixture_ref, ref, metric_config)) for ref in references]
     result = metrics.evaluate_separation(estimates, references, metric_name, metric_config)
-
-    flags = {}
-    flags_path = scene_dir / "flags.json"
-    if flags_path.exists():
-        with open(flags_path, "r", encoding="utf-8") as f:
-            flags = json.load(f)
     return {
         "scene_id": scene_dir.name,
         "metric": metric_name,

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import next_fast_len
+from scipy.linalg import toeplitz
 from scipy.optimize import linear_sum_assignment
 
 from .dsp import MultichannelWaveform, stft
@@ -101,29 +104,34 @@ def si_sdr(estimate, reference, config=MetricConfig()):
 
 
 def _fir_fit(estimate, reference, taps):
-    """Least-squares FIR h minimizing ||estimate - conv(reference, h)[:L]||.
+    """conv(reference, h)[:L] for the least-squares FIR h minimizing
+    ||estimate - conv(reference, h)[:L]||.
 
+    The reference's autocorrelation and its cross-correlation with the
+    estimate, at lags 0..taps-1, come from one batched real FFT. Its length
+    is at least L + taps - 1, so no lag wraps around, and is rounded up to a
+    length with only small prime factors, because a transform of a length
+    with a large prime factor (64 511 for 4 s and 512 taps) is ~20x slower.
     The Gram matrix of the shifted reference columns is the autocorrelation
-    Toeplitz matrix minus a rank-limited tail correction from the truncation
-    at L; both parts are computed exactly and the system is solved directly
-    with a ridge of FIR_RIDGE on the diagonal.
+    Toeplitz matrix minus the exact correction for the truncation at L, one
+    matmul of the reference's last taps samples; the system is solved
+    directly with a ridge of FIR_RIDGE on the diagonal. The fit reuses the
+    reference's spectrum.
     """
     L = len(reference)
-    r = np.array([np.dot(reference[: L - d], reference[d:]) for d in range(taps)])
-    idx = np.abs(np.arange(taps)[:, None] - np.arange(taps)[None, :])
-    gram = r[idx]
+    n = next_fast_len(L + taps - 1, real=True)
+    spectra = np.fft.rfft(np.stack([reference, estimate]), n)
+    r, cross = np.fft.irfft(spectra * np.conj(spectra[0]), n)[:, :taps]
     # column i is truncated at L, losing the last i reference samples;
-    # entry (i, j) of the exact Gram loses sum_p ref[L-i+p]*ref[L-j+p]
-    tail = np.zeros((taps, taps), dtype=np.float64)
-    for i in range(1, taps):
-        tail[:i, i] = reference[L - i:]
-    gram = gram - tail.T @ tail
+    # entry (i, j) of the exact Gram loses sum_p ref[L-i+p]*ref[L-j+p] over
+    # p < min(i, j): row i of lost is the window of padded at taps - i
+    padded = np.concatenate([reference[L - taps:], np.zeros(taps)])
+    lost = sliding_window_view(padded, taps)[:0:-1]
+    gram = toeplitz(r) - lost @ lost.T
     gram[np.diag_indices(taps)] += FIR_RIDGE
 
-    cross = np.array([np.dot(estimate[i:], reference[: L - i]) for i in range(taps)])
     h = np.linalg.solve(gram, cross)
-    fitted = np.convolve(reference, h)[:L]
-    return h, fitted
+    return np.fft.irfft(spectra[0] * np.fft.rfft(h, n), n)[:L]
 
 
 def ci_sdr(estimate, reference, config=MetricConfig()):
@@ -139,7 +147,7 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
         )
     if float(np.dot(ref, ref)) == 0.0:
         raise InputError("reference signal is all-zero")
-    _, fitted = _fir_fit(est, ref, config.ci_sdr_taps)
+    fitted = _fir_fit(est, ref, config.ci_sdr_taps)
     return _ratio_db(
         float(np.dot(fitted, fitted)),
         float(np.sum((est - fitted) ** 2)),

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,15 @@ def run_main(tmp_path, config, command):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(config, f)
     return cli.main(["--config", str(path), "--command", command])
+
+
+def write_estimates(scene_dir, signals):
+    """est_k.wav per signal and the flags.json that lists them, as separate writes."""
+    outputs = [f"est_{k}.wav" for k in range(1, len(signals) + 1)]
+    for name, signal in zip(outputs, signals):
+        audio_io.write_wav(scene_dir / name, audio_io.MultichannelWaveform(signal, FS))
+    with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
+        json.dump({"outputs": outputs}, f)
 
 
 def base_config(manifest, out_dir, **kwargs):
@@ -191,6 +201,27 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(manifest) in err and "scene_0001" in err and "'azimuth'" in err
 
+    @pytest.mark.parametrize("path, value, key", [
+        ((), {"seed": -1}, "seed"),
+        ((), {"id": 5}, "id"),
+        ((), {"sample_rate": "16k"}, "sample_rate"),
+        (("sources", 0), {"azimuth": "north"}, "azimuth"),
+        (("sources", 1), {"gain": "loud"}, "gain"),
+        (("noise",), {"snr_db": "x"}, "snr_db"),
+    ])
+    def test_bad_manifest_value_exit_code(self, path, value, key, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        content = json.loads(manifest.read_text())
+        entry = content["scenes"][0]
+        for step in path:
+            entry = entry[step]
+        entry.update(value)
+        manifest.write_text(json.dumps(content))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(manifest) in err and key in err
+
     def test_missing_manifest_exit_code(self, tmp_path):
         code = cli.main(
             ["--command", "simulate", "--scene-manifest", str(tmp_path / "nope.json"),
@@ -313,12 +344,9 @@ class TestEvaluate:
         config = base_config(manifest, tmp_path / "out")
         cli.cmd_simulate(config)
         scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
-        for k in (1, 2):
-            ref = audio_io.read_wav(scene_dir / f"source_{k}.wav")
-            audio_io.write_wav(
-                scene_dir / f"est_{k}.wav",
-                audio_io.MultichannelWaveform(ref.samples[0], FS),
-            )
+        write_estimates(scene_dir, [
+            audio_io.read_wav(scene_dir / f"source_{k}.wav").samples[0] for k in (1, 2)
+        ])
         report = cli.cmd_evaluate(config)
         record = report["records"][0]
         assert record["assignment"] == [0, 1]
@@ -329,12 +357,9 @@ class TestEvaluate:
         config = base_config(manifest, tmp_path / "out")
         cli.cmd_simulate(config)
         scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
-        for k, ref_k in ((1, 2), (2, 1)):
-            ref = audio_io.read_wav(scene_dir / f"source_{ref_k}.wav")
-            audio_io.write_wav(
-                scene_dir / f"est_{k}.wav",
-                audio_io.MultichannelWaveform(ref.samples[0], FS),
-            )
+        write_estimates(scene_dir, [
+            audio_io.read_wav(scene_dir / f"source_{k}.wav").samples[0] for k in (2, 1)
+        ])
         report = cli.cmd_evaluate(config)
         record = report["records"][0]
         assert record["assignment"] == [1, 0]
@@ -345,12 +370,31 @@ class TestEvaluate:
         config = base_config(manifest, tmp_path / "out")
         cli.cmd_simulate(config)
         scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
-        ref = audio_io.read_wav(scene_dir / "source_1.wav")
-        audio_io.write_wav(
-            scene_dir / "est_1.wav", audio_io.MultichannelWaveform(ref.samples[0], FS)
-        )
-        with pytest.raises(cli.InputError):
+        write_estimates(scene_dir, [audio_io.read_wav(scene_dir / "source_1.wav").samples[0]])
+        with pytest.raises(cli.InputError, match="1 estimates vs 2 references"):
             cli.cmd_evaluate(config)
+
+    def test_unlisted_estimate_is_not_scored(self, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        cli.cmd_simulate(config)
+        cli.cmd_separate(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        shutil.copy(scene_dir / "est_1.wav", scene_dir / "est_3.wav")
+        assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
+        report = cli.cmd_evaluate(config)
+        assert len(report["records"][0]["output_db"]) == 2
+
+    @pytest.mark.parametrize("remove", ["flags.json", "est_2.wav"])
+    def test_missing_listed_output_exit_code(self, remove, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        cli.cmd_simulate(config)
+        cli.cmd_separate(config)
+        missing = tmp_path / "out" / "scenes" / "scene_0000" / remove
+        missing.unlink()
+        assert run_main(tmp_path, config, "evaluate") == cli.EXIT_INPUT
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestRunAll:

@@ -2,7 +2,10 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import speech_like
 from sepfront.dsp import MultichannelWaveform, StftConfig, stft
 from sepfront.errors import InputError
 from sepfront.metrics import (
@@ -95,6 +98,104 @@ class TestCiSdr:
     def test_too_short_signal(self, rng):
         with pytest.raises(InputError):
             ci_sdr(rng.standard_normal(100), rng.standard_normal(100), MetricConfig(ci_sdr_taps=512))
+
+
+def _fir_fit_loop(estimate, reference, taps):
+    """The CI-SDR fit as a loop over taps: dot-product correlations, a
+    column-by-column truncation correction and a direct convolution."""
+    L = len(reference)
+    r = np.array([np.dot(reference[: L - d], reference[d:]) for d in range(taps)])
+    idx = np.abs(np.arange(taps)[:, None] - np.arange(taps)[None, :])
+    gram = r[idx]
+    tail = np.zeros((taps, taps), dtype=np.float64)
+    for i in range(1, taps):
+        tail[:i, i] = reference[L - i:]
+    gram = gram - tail.T @ tail
+    gram[np.diag_indices(taps)] += 1e-12
+    cross = np.array([np.dot(estimate[i:], reference[: L - i]) for i in range(taps)])
+    h = np.linalg.solve(gram, cross)
+    return np.convolve(reference, h)[:L]
+
+
+def ci_sdr_loop(estimate, reference, taps, cap_db=100.0):
+    fitted = _fir_fit_loop(estimate, reference, taps)
+    ratio = np.sum(fitted ** 2) / np.sum((estimate - fitted) ** 2)
+    return float(np.clip(10.0 * np.log10(ratio), -cap_db, cap_db))
+
+
+@st.composite
+def fir_cases(draw):
+    """(estimate, reference, taps) with whole-number samples in [-100, 100].
+
+    Exact zeros are common; a reference that is not all-zero has energy of
+    at least 1, so the fixed 1e-12 ridge moves a score by under 1e-11 dB.
+    """
+    n = draw(st.integers(16, 2000))
+    samples = arrays(np.int64, n, elements=st.integers(-100, 100))
+    estimate = draw(samples).astype(np.float64)
+    reference = draw(samples).astype(np.float64)
+    return estimate, reference, draw(st.integers(1, n))
+
+
+class TestCiSdrKernel:
+    """The FFT-correlation fit against the loop fit and a dense oracle."""
+
+    def test_matches_loop_fit_on_speech_like_pairs(self, rng):
+        for _ in range(4):
+            ref = speech_like(rng, 64000)
+            room = rng.standard_normal(64) * np.exp(-np.arange(64) / 12.0)
+            est = np.convolve(ref, room)[:64000] + 0.3 * speech_like(rng, 64000)
+            assert abs(ci_sdr(est, ref) - ci_sdr_loop(est, ref, 512)) <= 1e-9
+
+    def test_matches_dense_oracle_at_512_taps(self, rng):
+        for _ in range(2):
+            ref = rng.standard_normal(6000)
+            est = np.convolve(ref, rng.standard_normal(40))[:6000]
+            est += 2.0 * rng.standard_normal(6000)
+            oracle = dense_fir_oracle(est, ref, 512)
+            assert abs(ci_sdr(est, ref) - oracle) <= 1e-8
+
+    def test_taps_equal_to_length(self, rng):
+        # a full-length FIR of a reference with a dominant first sample fits
+        # anything; with a zero first sample the first estimate sample is
+        # left over and the last tap's column is empty
+        ref = np.concatenate([[1.0], 0.1 * rng.standard_normal(63)])
+        est = rng.standard_normal(64)
+        config = MetricConfig(ci_sdr_taps=64)
+        assert ci_sdr(est, ref, config) == 100.0
+        ref = np.concatenate([[0.0, 1.0], 0.1 * rng.standard_normal(62)])
+        expected = 10.0 * np.log10(np.sum(est[1:] ** 2) / est[0] ** 2)
+        assert abs(ci_sdr(est, ref, config) - expected) <= 1e-9
+        assert abs(ci_sdr(est, ref, config) - ci_sdr_loop(est, ref, 64)) <= 1e-9
+
+    @pytest.mark.parametrize("length", [1, 2, 17])
+    def test_one_tap_at_short_lengths(self, length, rng):
+        est = rng.standard_normal(length)
+        ref = rng.standard_normal(length)
+        one_tap = ci_sdr(est, ref, MetricConfig(ci_sdr_taps=1))
+        assert abs(one_tap - si_sdr(est, ref)) <= 1e-9
+
+    @pytest.mark.parametrize("taps", [1, 8, 300])
+    def test_reference_nonzero_only_in_last_sample(self, taps, rng):
+        # every shifted column but the first loses its only sample to the
+        # truncation, so the fit is the scalar one
+        ref = np.zeros(300)
+        ref[-1] = 1.5
+        est = rng.standard_normal(300)
+        config = MetricConfig(ci_sdr_taps=taps)
+        assert abs(ci_sdr(est, ref, config) - si_sdr(est, ref)) <= 1e-9
+        assert abs(ci_sdr(est, ref, config) - ci_sdr_loop(est, ref, taps)) <= 1e-9
+
+    @settings(deadline=None)
+    @given(fir_cases())
+    def test_bounded_and_never_below_si_sdr(self, case):
+        est, ref, taps = case
+        assume(np.any(ref))
+        score = ci_sdr(est, ref, MetricConfig(ci_sdr_taps=taps))
+        assert -100.0 <= score <= 100.0
+        assert score >= si_sdr(est, ref) - 1e-9
+        if taps == 1:
+            assert abs(score - si_sdr(est, ref)) <= 1e-9
 
 
 class TestWaveformSpectralL1:
