@@ -4,13 +4,22 @@ Per frequency f the covariance of a stream is the mask-weighted average of
 outer products z[t,f] z[t,f]^H. MVDR weights are the trace-normalized product
 of the inverted interference covariance with the target covariance, selected
 at the reference microphone. All per-frequency computations are independent.
+
+Both spectrogram kernels work on the frequency-major layout
+Spectrogram.freq_major, an (F, M, T) copy of the (M, T, F) bins built once
+per spectrogram. In it each frequency is one contiguous M x T matrix, so the
+covariance of a stream is batched matmuls (M x T by T x M per frequency) and
+the beamformer one batched (1 x M) by (M x T) product, both run by BLAS.
+The copy is shared by the three covariance calls and the beamformer calls of
+a separation, so the transpose is paid once. The covariance weights one
+block of frequencies at a time (_BLOCK_BYTES), so the weighted copy is read
+back from cache and never exists for the whole grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorio
 from .dsp import Spectrogram, istft, stft
 from .errors import ConfigurationError, InputError
 
@@ -19,6 +28,10 @@ DEFAULT_LOADING = 1e-7
 HERMITIAN_TOL = 1e-8
 
 TRACE_TOL = 1e-12
+
+# Size of spatial_covariance's weighted block of frequencies: small enough to
+# be still in cache when the matmul reads it back
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -44,9 +57,6 @@ class BeamformerWeights:
                 self, "passthrough", np.zeros(self.weights.shape[0], dtype=bool)
             )
 
-    def save(self, path):
-        tensorio.save_complex_tensor(path, self.weights)
-
 
 def spatial_covariance(spec, mask):
     """Mask-weighted spatial covariance of a multichannel spectrogram.
@@ -63,8 +73,17 @@ def spatial_covariance(spec, mask):
     if not np.all(mask >= 0.0):
         raise InputError("mask values must be nonnegative (NaN is rejected)")
 
-    z = spec.bins  # (M, T, F)
-    weighted = np.einsum("tf,ctf,dtf->fcd", mask, z, np.conj(z), optimize=True)
+    z = spec.freq_major  # (F, M, T)
+    num_mics = spec.num_channels
+    weighted = np.empty((spec.num_bins, num_mics, num_mics), dtype=np.complex128)
+    step = max(1, _BLOCK_BYTES // z[0].nbytes)
+    for lo in range(0, spec.num_bins, step):
+        block = z[lo:lo + step]
+        # conj(mask z) z^T is the conjugate of V's sum: conjugating the weighted
+        # block in place, and the product once below, needs no conj(z) copy
+        y = mask.T[lo:lo + step, np.newaxis, :] * block
+        np.matmul(np.conjugate(y, out=y), block.transpose(0, 2, 1), out=weighted[lo:lo + step])
+    np.conjugate(weighted, out=weighted)
     mass = mask.sum(axis=0)
     zero = mass <= 0.0
     matrices = np.zeros_like(weighted)
@@ -144,7 +163,7 @@ def apply_beamformer(weights, spec):
             f"weights of shape {w.shape} do not match spectrogram "
             f"({spec.num_channels} channels, {spec.num_bins} bins)"
         )
-    out = np.einsum("fm,mtf->tf", np.conj(w), spec.bins, optimize=True)
+    out = (np.conj(w)[:, np.newaxis, :] @ spec.freq_major)[:, 0, :].T  # (T, F)
     return Spectrogram(
         out[np.newaxis], spec.config, spec.original_length, spec.sample_rate
     )

@@ -8,6 +8,7 @@ configs produce identical outputs apart from the timing fields.
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -68,8 +69,9 @@ CHOICES = {
 MINIMUMS = {"seed": 0, "jobs": 1}
 
 # JSON types of the values a manifest scene, each of its sources and its
-# noise may set; as in FIELD_TYPES, a bool is not taken as a number
-SCENE_FIELD_TYPES = {"seed": (int,), "reference_mic": (int,), "sample_rate": (int,)}
+# noise may set; as in FIELD_TYPES, a bool is not taken as a number. A scene's
+# sample_rate and geometry are checked as the manifest's are, by _check_rendering
+SCENE_FIELD_TYPES = {"seed": (int,), "reference_mic": (int,)}
 SOURCE_FIELD_TYPES = {"azimuth": (int, float), "elevation": (int, float), "gain": (int, float)}
 NOISE_FIELD_TYPES = {"snr_db": (int, float)}
 
@@ -157,6 +159,12 @@ def _metric_config(config):
 
 
 def load_manifest(path):
+    """Read a scene manifest and check its top level and its scene ids.
+
+    Each id names its scene's directory under output_dir/scenes, so it must be
+    one path component, not empty and not used twice. A bad id or top-level
+    value fails here, before anything is written.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -164,14 +172,55 @@ def load_manifest(path):
         raise InputError(f"scene manifest not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"scene manifest {path} is not valid JSON: {exc}") from exc
-    if "scenes" not in manifest:
-        raise InputError(f"scene manifest {path} has no 'scenes' list")
+    where = f"scene manifest {path}"
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenes"), list):
+        raise InputError(f"{where} has no 'scenes' list")
+    _check_rendering(where, manifest)
+    seen = set()
     for scene in manifest["scenes"]:
-        if "id" not in scene:
-            raise InputError(f"scene manifest {path} has a scene without an 'id'")
-        _check_type(f"scene manifest {path}: scene {scene['id']!r}", "id", scene["id"], (str,),
-                    InputError)
+        if not isinstance(scene, dict) or "id" not in scene:
+            raise InputError(f"{where} has a scene without an 'id'")
+        scene_id = scene["id"]
+        _check_type(f"{where}: scene {scene_id!r}", "id", scene_id, (str,), InputError)
+        if scene_id in ("", ".", "..") or any(c in scene_id for c in "/\\\0"):
+            raise InputError(f"{where}: scene id {scene_id!r} is not one path component")
+        if scene_id in seen:
+            raise InputError(f"{where}: scene id {scene_id!r} is used more than once")
+        seen.add(scene_id)
     return manifest
+
+
+def _check_rendering(where, entry):
+    """Check the sample rate and array geometry the manifest, or a scene that
+    overrides them, sets: a positive integer rate, an M x 3 list of finite
+    mic positions and a finite positive speed of sound."""
+    if "sample_rate" in entry:
+        _check_type(where, "sample_rate", entry["sample_rate"], (int,), InputError)
+        if entry["sample_rate"] <= 0:
+            raise InputError(f"{where}: 'sample_rate' must be > 0, got {entry['sample_rate']}")
+    geometry = entry.get("geometry")
+    if geometry is None:  # a scene without one uses the manifest's
+        return
+    if not isinstance(geometry, dict):
+        raise InputError(f"{where}: 'geometry' must be an object, got {geometry!r}")
+    positions = geometry.get("mic_positions")
+    if not (isinstance(positions, list) and positions
+            and all(isinstance(p, list) and len(p) == 3 and all(map(_is_finite_number, p))
+                    for p in positions)):
+        raise InputError(
+            f"{where}: 'geometry.mic_positions' must be an M x 3 list of finite numbers, "
+            f"got {positions!r}"
+        )
+    if "speed_of_sound" in geometry:
+        speed = geometry["speed_of_sound"]
+        if not (_is_finite_number(speed) and speed > 0):
+            raise InputError(
+                f"{where}: 'geometry.speed_of_sound' must be a finite number > 0, got {speed!r}"
+            )
+
+
+def _is_finite_number(value):
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _check_scene(where, scene):
@@ -185,6 +234,7 @@ def _check_scene(where, scene):
         for key, allowed in types.items():
             if key in entry:
                 _check_type(where, prefix + key, entry[key], allowed, InputError)
+    _check_rendering(where, scene)
     if scene.get("seed", 0) < 0:
         raise InputError(f"{where}: 'seed' must be >= 0, got {scene['seed']}")
 

@@ -7,6 +7,7 @@ squared-window shifts cover every sample.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -154,6 +155,17 @@ class Spectrogram:
     @property
     def num_bins(self):
         return self.bins.shape[2]
+
+    @cached_property
+    def freq_major(self):
+        """bins as a C-contiguous (F, M, T) copy, built on first use and kept.
+
+        The spatial kernels run one small matmul per frequency; in this
+        layout each frequency's M x T matrix is contiguous, so BLAS reads it
+        without striding, and every kernel call on the spectrogram shares one
+        copy.
+        """
+        return np.ascontiguousarray(self.bins.transpose(2, 0, 1))
 
     def channel(self, index):
         """Single-channel view as a new Spectrogram."""

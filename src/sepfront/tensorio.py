@@ -1,12 +1,10 @@
-"""Binary tensor file format for mask and weight exchange.
+"""Binary tensor file format for mask exchange.
 
 Layout (little-endian):
     bytes 0..3   magic b"TNS1"
     bytes 4..7   uint32 ndim
     next ndim*4  uint32 dimensions
     rest         float32 data, row-major (C order)
-
-Complex tensors are stored with a trailing axis of size 2 (real, imag).
 """
 
 import math
@@ -58,18 +56,3 @@ def load_tensor(path):
         return data.reshape(shape)
     except ValueError as exc:  # an empty shape whose other dimensions numpy cannot index
         raise InputError(f"{path}: unsupported tensor shape {shape} ({exc})") from exc
-
-
-def save_complex_tensor(path, array):
-    """Write a complex tensor as float32 pairs (trailing axis [real, imag])."""
-    arr = np.asarray(array)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    save_tensor(path, stacked)
-
-
-def load_complex_tensor(path):
-    """Read a complex tensor written by save_complex_tensor."""
-    stacked = load_tensor(path)
-    if stacked.shape[-1] != 2:
-        raise InputError(f"{path}: complex tensor needs a trailing axis of size 2")
-    return stacked[..., 0].astype(np.complex128) + 1j * stacked[..., 1]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import pilot_suite
 from conftest import speech_like
 from sepfront.beamform import (
     DEFAULT_LOADING,
@@ -12,12 +15,11 @@ from sepfront.beamform import (
     separate_mvdr,
     spatial_covariance,
 )
-from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig
+from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig, stft
 from sepfront.errors import ConfigurationError, InputError
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
 from sepfront.metrics import si_sdr
 from sepfront.simulate import SceneSpec, SourceSpec, linear_array, render_scene
-from sepfront import tensorio
 
 FS = 16000
 CFG = StftConfig(512, 128)
@@ -32,6 +34,37 @@ def multichannel_spec(rng, channels, frames, cfg=CFG):
 def random_psd(rng, m):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return a @ a.conj().T + 0.1 * np.eye(m)
+
+
+def covariance_einsum(spec, mask):
+    """The einsum covariance that the batched matmul replaced, kept as its oracle."""
+    z = spec.bins
+    weighted = np.einsum("tf,ctf,dtf->fcd", mask, z, np.conj(z), optimize=True)
+    mass = mask.sum(axis=0)
+    zero = mass <= 0.0
+    matrices = np.zeros_like(weighted)
+    matrices[~zero] = weighted[~zero] / mass[~zero, np.newaxis, np.newaxis]
+    return 0.5 * (matrices + np.conj(np.swapaxes(matrices, 1, 2)))
+
+
+def beamform_loop(w, spec):
+    """w[f]^H z[:, t, f], one frequency at a time."""
+    out = np.empty(spec.bins.shape[1:], dtype=complex)
+    for f in range(spec.num_bins):
+        out[:, f] = np.conj(w[f]) @ spec.bins[:, :, f]
+    return out
+
+
+@pytest.fixture(scope="module")
+def pilot_spectra():
+    """(mixture spectrogram, oracle IRM set) of pilot scenes 0-5, 8 mics, 4 s."""
+    cases = []
+    for index in range(6):
+        scene = render_scene(pilot_suite.make_scene(index))
+        images = [*scene.source_images, scene.noise_image]
+        mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
+        cases.append((stft(scene.mixture, CFG), mask_set))
+    return cases
 
 
 def covariance_from(matrices):
@@ -93,6 +126,52 @@ class TestSpatialCovariance:
                 eigs = np.linalg.eigvalsh(cov.matrices[f])
                 trace = np.real(np.trace(cov.matrices[f]))
                 assert eigs.min() >= -1e-9 * trace / 3 - 1e-15
+
+    def test_equals_einsum_on_pilot_scenes(self, pilot_spectra):
+        zero_bins = [0, 100, 256]
+        for spec, mask_set in pilot_spectra:
+            for k in range(mask_set.num_streams):
+                mask = mask_set.masks[k].copy()
+                mask[:, zero_bins] = 0.0
+                cov = spatial_covariance(spec, mask)
+                assert np.array_equal(cov.matrices, covariance_einsum(spec, mask))
+                assert np.flatnonzero(cov.zero_mass).tolist() == zero_bins
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_equals_einsum_on_random_spectrograms(self, channels, rng):
+        spec = multichannel_spec(rng, channels, 7)
+        mask = rng.uniform(0.0, 1.0, (7, CFG.num_bins))
+        mask[:, 5] = 0.0
+        cov = spatial_covariance(spec, mask)
+        assert np.array_equal(cov.matrices, covariance_einsum(spec, mask))
+        assert cov.matrices.shape == (CFG.num_bins, channels, channels)
+
+    def test_layout_built_once_and_bins_kept(self, rng):
+        spec = multichannel_spec(rng, 3, 5)
+        bins = spec.bins.copy()
+        layout = spec.freq_major
+        assert layout.flags.c_contiguous and layout.shape == (CFG.num_bins, 3, 5)
+        np.testing.assert_array_equal(layout, bins.transpose(2, 0, 1))
+        spatial_covariance(spec, rng.uniform(0.0, 1.0, (5, CFG.num_bins)))
+        apply_beamformer(BeamformerWeights(np.ones((CFG.num_bins, 3), complex), 0), spec)
+        assert spec.freq_major is layout
+        np.testing.assert_array_equal(spec.bins, bins)
+        np.testing.assert_array_equal(layout, bins.transpose(2, 0, 1))
+
+    def test_first_call_peak_memory(self, rng):
+        # the layout copy plus one weighted block reads about 1.15x; a weighted
+        # copy of the whole grid, or a cached conj(z) layout, would read 2x or more
+        spec = stft(render_scene(pilot_suite.make_scene(0)).mixture, CFG)
+        assert spec.bins.shape == (8, CFG.num_frames(4 * FS), CFG.num_bins)
+        mask = rng.uniform(0.0, 1.0, spec.bins.shape[1:])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spatial_covariance(spec, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.5 * spec.bins.nbytes
 
     def test_negative_mask_rejected(self, rng):
         spec = multichannel_spec(rng, 2, 4)
@@ -239,6 +318,17 @@ class TestApplyBeamformer:
                 expected = np.vdot(w[f], spec.bins[:, t, f])
                 assert abs(out.bins[0, t, f] - expected) < 1e-12 * max(1, abs(expected))
 
+    def test_matches_per_frequency_loop_on_pilot_scenes(self, pilot_spectra):
+        for spec, mask_set in pilot_spectra:
+            covs = [spatial_covariance(spec, m) for m in mask_set.masks]
+            for k in range(2):
+                weights = mvdr_weights(covs[k], interference_covariance(covs, k), 0)
+                out = apply_beamformer(weights, spec).bins[0]
+                expected = beamform_loop(weights.weights, spec)
+                np.testing.assert_allclose(
+                    out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+                )
+
     def test_linear_in_spectrogram(self, rng):
         a = multichannel_spec(rng, 2, 4)
         b = multichannel_spec(rng, 2, 4)
@@ -323,13 +413,3 @@ class TestSeparateMvdr:
         mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
         with pytest.raises(ConfigurationError):
             separate_mvdr(scene.mixture, mask_set, CFG, ref_mic=7)
-
-
-class TestWeightExport:
-    def test_weights_tensor_round_trip(self, rng, tmp_path):
-        w = rng.standard_normal((CFG.num_bins, 4)) + 1j * rng.standard_normal((CFG.num_bins, 4))
-        weights = BeamformerWeights(w, 0)
-        path = tmp_path / "weights.tns"
-        weights.save(path)
-        loaded = tensorio.load_complex_tensor(path)
-        np.testing.assert_allclose(loaded, w, atol=1e-6)

@@ -208,6 +208,8 @@ class TestSimulate:
         (("sources", 0), {"azimuth": "north"}, "azimuth"),
         (("sources", 1), {"gain": "loud"}, "gain"),
         (("noise",), {"snr_db": "x"}, "snr_db"),
+        ((), {"sample_rate": -16000}, "sample_rate"),
+        ((), {"geometry": {"mic_positions": [[0.0, 0.0]]}}, "mic_positions"),
     ])
     def test_bad_manifest_value_exit_code(self, path, value, key, tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -221,6 +223,49 @@ class TestSimulate:
         assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert str(manifest) in err and key in err
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"sample_rate": "x"}, "sample_rate"),
+        ({"sample_rate": True}, "sample_rate"),
+        ({"sample_rate": 0}, "sample_rate"),
+        ({"geometry": [[0.0, 0.0, 0.0]]}, "geometry"),
+        ({"geometry": {"mic_positions": [[0.0, 0.0], [0.05, 0.0]]}}, "mic_positions"),
+        ({"geometry": {"mic_positions": [[0.0, 0.0, "x"]]}}, "mic_positions"),
+        ({"geometry": {"mic_positions": [[float("nan"), 0.0, 0.0]]}}, "mic_positions"),
+        ({"geometry": {"mic_positions": []}}, "mic_positions"),
+        ({"geometry": {"mic_positions": [[0.0, 0.0, 0.0]], "speed_of_sound": -343.0}},
+         "speed_of_sound"),
+        ({"geometry": {"mic_positions": [[0.0, 0.0, 0.0]], "speed_of_sound": "fast"}},
+         "speed_of_sound"),
+    ], ids=["rate-str", "rate-bool", "rate-zero", "geometry-list", "positions-2d",
+            "positions-str", "positions-nan", "positions-empty", "speed-negative", "speed-str"])
+    def test_bad_manifest_top_level_exit_code(self, entry, key, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        content = json.loads(manifest.read_text())
+        content.update(entry)
+        manifest.write_text(json.dumps(content))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(manifest) in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("index, scene_id", [
+        (0, ""), (1, "scene_0000"), (0, "../escaped"), (0, "a/b"), (0, "a\0b"),
+    ], ids=["empty", "duplicate", "parent-dir", "two-components", "nul"])
+    def test_bad_scene_id_exit_code(self, index, scene_id, tmp_path, capsys):
+        manifest = write_manifest(tmp_path / "in", num_scenes=2)
+        content = json.loads(manifest.read_text())
+        content["scenes"][index]["id"] = scene_id
+        manifest.write_text(json.dumps(content))
+        before = set(tmp_path.rglob("*"))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(scene_id) in err
+        # rejected before any scene is rendered: nothing lands anywhere,
+        # let alone outside out/scenes/
+        assert set(tmp_path.rglob("*")) - before == {tmp_path / "config.json"}
 
     def test_missing_manifest_exit_code(self, tmp_path):
         code = cli.main(

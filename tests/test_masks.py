@@ -260,13 +260,6 @@ class TestTensorFormat:
         loaded = MaskSet.load(path, labels=mask_set.labels)
         np.testing.assert_allclose(loaded.masks, masks.astype(np.float32), atol=1e-7)
 
-    def test_complex_round_trip(self, rng, tmp_path):
-        w = rng.standard_normal((257, 8)) + 1j * rng.standard_normal((257, 8))
-        path = tmp_path / "weights.tns"
-        tensorio.save_complex_tensor(path, w)
-        loaded = tensorio.load_complex_tensor(path)
-        np.testing.assert_allclose(loaded, w, atol=1e-6)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.tns"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
