@@ -7,8 +7,11 @@ configs produce identical outputs apart from the timing fields.
 """
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -72,8 +75,17 @@ MINIMUMS = {"seed": 0, "jobs": 1}
 # noise may set; as in FIELD_TYPES, a bool is not taken as a number. A scene's
 # sample_rate and geometry are checked as the manifest's are, by _check_rendering
 SCENE_FIELD_TYPES = {"seed": (int,), "reference_mic": (int,)}
-SOURCE_FIELD_TYPES = {"azimuth": (int, float), "elevation": (int, float), "gain": (int, float)}
-NOISE_FIELD_TYPES = {"snr_db": (int, float)}
+SOURCE_FIELD_TYPES = {"path": (str,), "azimuth": (int, float), "elevation": (int, float),
+                      "gain": (int, float)}
+NOISE_FIELD_TYPES = {"path": (str,), "snr_db": (int, float)}
+
+# thread-count functions of the OpenBLAS in numpy's wheel, newest naming first
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def load_config(path=None, overrides=None):
@@ -225,11 +237,15 @@ def _is_finite_number(value):
 
 def _check_scene(where, scene):
     """Type-check the values _scene_spec reads from a manifest scene."""
+    sources, noise = scene["sources"], scene.get("noise")
+    if not (isinstance(sources, list) and all(isinstance(src, dict) for src in sources)):
+        raise InputError(f"{where}: 'sources' must be a list of objects, got {sources!r}")
+    if noise and not isinstance(noise, dict):
+        raise InputError(f"{where}: 'noise' must be an object, got {noise!r}")
     entries = [("", scene, SCENE_FIELD_TYPES)]
-    entries += [(f"sources[{k}].", src, SOURCE_FIELD_TYPES)
-                for k, src in enumerate(scene["sources"])]
-    if scene.get("noise"):
-        entries.append(("noise.", scene["noise"], NOISE_FIELD_TYPES))
+    entries += [(f"sources[{k}].", src, SOURCE_FIELD_TYPES) for k, src in enumerate(sources)]
+    if noise:
+        entries.append(("noise.", noise, NOISE_FIELD_TYPES))
     for prefix, entry, types in entries:
         for key, allowed in types.items():
             if key in entry:
@@ -293,14 +309,65 @@ def _scene_dirs(output_dir, scene_ids=None):
     return sorted(d for d in scenes_root.iterdir() if d.is_dir())
 
 
-def _map_scenes(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+def _numpy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy's
+    wheel, or None when numpy ships none (a build against another BLAS)."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _scene_pool(jobs):
+    """Yield map(fn, items) for the per-scene tasks of one run.
+
+    With jobs > 1 every map of more than one item goes through one process
+    pool, started at the first such map and shut down when the block ends.
+    Before its workers fork, numpy's OpenBLAS is capped at an even share of
+    the usable CPUs, so jobs workers do not each run a full set of BLAS
+    threads on the same cores. The forked workers inherit the cap (setting it
+    inside a fresh worker instead starts an idle, spinning BLAS thread); the
+    parent's own count is restored once the pool has shut down.
+    """
+    pool = blas = previous = None
+
+    def scene_map(fn, items):
+        nonlocal pool, blas, previous
+        if jobs <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        if pool is None:
+            blas = _numpy_openblas()
+            if blas is not None:
+                previous = blas[0]()
+                blas[1](max(1, len(os.sched_getaffinity(0)) // jobs))
+            pool = ProcessPoolExecutor(max_workers=jobs)
         return list(pool.map(fn, items))
 
+    try:
+        yield scene_map
+    finally:
+        if pool is not None:
+            pool.shutdown()
+        if previous is not None:
+            blas[1](previous)
 
-def cmd_simulate(config):
+
+def _map_scenes(fn, items, jobs, scene_map):
+    """fn over items through scene_map, or through a _scene_pool of their own."""
+    if scene_map is not None:
+        return scene_map(fn, items)
+    with _scene_pool(jobs) as scene_map:
+        return scene_map(fn, items)
+
+
+def cmd_simulate(config, scene_map=None):
     """Render every manifest scene to WAV files under output_dir/scenes/<id>/."""
     if not config["scene_manifest"]:
         raise ConfigurationError("simulate requires scene_manifest")
@@ -315,7 +382,7 @@ def cmd_simulate(config):
         (scene, manifest, config["scene_manifest"], config["seed"] + i, out_root, fmt)
         for i, scene in enumerate(scenes)
     ]
-    _map_scenes(_simulate_one, args, config["jobs"])
+    _map_scenes(_simulate_one, args, config["jobs"], scene_map)
     return [scene["id"] for scene in scenes]
 
 
@@ -327,6 +394,8 @@ def _simulate_one(arg):
         spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
     except KeyError as exc:
         raise InputError(f"{where} is missing key {exc}") from exc
+    except ConfigurationError as exc:  # a scene value simulate's specs reject
+        raise InputError(f"{where}: {exc}") from exc
     rendered = simulate.render_scene(spec)
     scene_dir = out_root / scene["id"]
     scene_dir.mkdir(parents=True, exist_ok=True)
@@ -348,10 +417,12 @@ def _scene_record(scene_dir):
     return int(record["reference_mic"]), len(record["sources"])
 
 
-def load_scene_masks(scene_dir, config, stft_config):
+def load_scene_masks(scene_dir, config, stft_config, mixture=None):
     """Oracle masks at the scene's reference mic, or imported masks.
 
-    An imported tensor with one stream per source plus one has noise last.
+    Oracle masks read the scene's mixture.wav unless the caller passes the
+    mixture it has read. An imported tensor with one stream per source plus
+    one has noise last.
     """
     sep = config["separator"]
     ref_mic, num_sources = _scene_record(scene_dir)
@@ -371,19 +442,20 @@ def load_scene_masks(scene_dir, config, stft_config):
             )
         images.append(audio_io.read_wav(path))
     images.append(audio_io.read_wav(scene_dir / "noise.wav"))
-    mixture = audio_io.read_wav(scene_dir / "mixture.wav")
+    if mixture is None:
+        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     return masks.oracle_mask_from_waveforms(
         mixture, images, sep["mask_oracle_kind"], stft_config, ref_mic
     )
 
 
-def cmd_separate(config, scene_ids=None):
+def cmd_separate(config, scene_ids=None, scene_map=None):
     """Write est_k.wav per speaker (plus a flags sidecar) for the scenes named
     in scene_ids, or for every scene under output_dir."""
     scene_dirs = _scene_dirs(config["output_dir"], scene_ids)
     stft_config = _stft_config(config)
     args = [(d, config, stft_config) for d in scene_dirs]
-    _map_scenes(_separate_one, args, config["jobs"])
+    _map_scenes(_separate_one, args, config["jobs"], scene_map)
     return [d.name for d in scene_dirs]
 
 
@@ -392,7 +464,7 @@ def _separate_one(arg):
     ref_mic, _ = _scene_record(scene_dir)
     method = config["separator"]["method"]
     mixture = audio_io.read_wav(scene_dir / "mixture.wav")
-    mask_set = load_scene_masks(scene_dir, config, stft_config)
+    mask_set = load_scene_masks(scene_dir, config, stft_config, mixture)
 
     if method == "mvdr":
         estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
@@ -414,14 +486,14 @@ def _separate_one(arg):
     return scene_dir.name
 
 
-def cmd_evaluate(config, scene_ids=None):
+def cmd_evaluate(config, scene_ids=None, scene_map=None):
     """PIT-aligned scoring of the scenes named in scene_ids, or of every scene
     under output_dir; writes report files and returns the report."""
     scene_dirs = _scene_dirs(config["output_dir"], scene_ids)
     metric_name = config["metric"]["name"]
     metric_config = _metric_config(config)
     args = [(d, config, metric_name, metric_config) for d in scene_dirs]
-    records = _map_scenes(_evaluate_one, args, config["jobs"])
+    records = _map_scenes(_evaluate_one, args, config["jobs"], scene_map)
     records.sort(key=lambda r: r["scene_id"])
 
     all_scores = [s for r in records for s in r["output_db"]]
@@ -511,14 +583,17 @@ def render_table(records, report, metric_name):
 
 
 def run(config):
-    """Run the configured stages; run-all separates and scores only the
-    scenes its own simulate stage wrote."""
+    """Run the configured stages through one scene pool; run-all separates and
+    scores only the scenes its own simulate stage wrote."""
     command = config["command"]
-    scene_ids = cmd_simulate(config) if command in ("simulate", "run-all") else None
-    if command in ("separate", "run-all"):
-        cmd_separate(config, scene_ids)
-    if command in ("evaluate", "run-all"):
-        return cmd_evaluate(config, scene_ids)
+    with _scene_pool(config["jobs"]) as scene_map:
+        scene_ids = None
+        if command in ("simulate", "run-all"):
+            scene_ids = cmd_simulate(config, scene_map)
+        if command in ("separate", "run-all"):
+            cmd_separate(config, scene_ids, scene_map)
+        if command in ("evaluate", "run-all"):
+            return cmd_evaluate(config, scene_ids, scene_map)
     return None
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pilot_suite
 from conftest import speech_like
 from sepfront import audio_io, cli
 from sepfront.beamform import separate_mvdr
@@ -267,6 +269,32 @@ class TestSimulate:
         # let alone outside out/scenes/
         assert set(tmp_path.rglob("*")) - before == {tmp_path / "config.json"}
 
+    @pytest.mark.parametrize("path, value, fragment", [
+        ((), {"sources": 5}, "'sources'"),
+        ((), {"sources": ["a"]}, "'sources'"),
+        ((), {"noise": 5}, "'noise'"),
+        (("sources", 0), {"path": 5}, "'sources[0].path'"),
+        (("noise",), {"path": ["n.wav"]}, "'noise.path'"),
+        ((), {"reference_mic": 9}, "reference_mic 9"),
+        (("noise",), {"kind": "pink"}, "'pink'"),
+        ((), {"sources": []}, "at least one source"),
+    ], ids=["sources-int", "sources-str-items", "noise-int", "source-path-int",
+            "noise-path-list", "ref-mic-out-of-range", "noise-kind-pink", "sources-empty"])
+    def test_bad_scene_value_names_manifest_and_scene(self, path, value, fragment, tmp_path,
+                                                      capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        content = json.loads(manifest.read_text())
+        entry = content["scenes"][0]
+        for step in path:
+            entry = entry[step]
+        entry.update(value)
+        manifest.write_text(json.dumps(content))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert str(manifest) in err and "'scene_0000'" in err and fragment in err
+
     def test_missing_manifest_exit_code(self, tmp_path):
         code = cli.main(
             ["--command", "simulate", "--scene-manifest", str(tmp_path / "nope.json"),
@@ -373,6 +401,21 @@ class TestSeparate:
         assert run_main(tmp_path, config, "separate") == cli.EXIT_OK
         assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
         assert not (scene_dir / "est_3.wav").exists()
+
+    def test_mixture_read_once_per_scene(self, tmp_path, monkeypatch):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out", command="simulate")
+        cli.run(config)
+        reads = []
+        read_wav = audio_io.read_wav
+
+        def counting_read_wav(path):
+            reads.append(Path(path).name)
+            return read_wav(path)
+
+        monkeypatch.setattr(audio_io, "read_wav", counting_read_wav)
+        cli.cmd_separate(config)
+        assert sorted(reads) == ["mixture.wav", "noise.wav", "source_1.wav", "source_2.wav"]
 
     def test_missing_references_for_oracle_masks(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -490,3 +533,117 @@ class TestRunAll:
         for ra, rb in zip(rep_a["records"], rep_b["records"]):
             assert ra["scene_id"] == rb["scene_id"]
             assert ra["output_db"] == rb["output_db"]
+
+
+def _pool_blas_threads(_):
+    """The OpenBLAS thread count of the process that runs this task."""
+    return cli._numpy_openblas()[0]()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the process pools the CLI constructs."""
+    made = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS (get, set); its thread count is put back after the test."""
+    blas = cli._numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy ships no OpenBLAS")
+    before = blas[0]()
+    yield blas
+    blas[1](before)
+
+
+def worker_share(jobs):
+    return max(1, len(os.sched_getaffinity(0)) // jobs)
+
+
+class TestScenePool:
+    @pytest.mark.parametrize("jobs, expected", [(1, []), (2, [2])])
+    def test_one_pool_per_run(self, jobs, expected, pools, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=3)
+        config = base_config(manifest, tmp_path / "out", jobs=jobs)
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        assert pools == expected
+        assert len((tmp_path / "out" / "report.jsonl").read_text().splitlines()) == 3
+
+    def test_bare_stage_runs_in_its_own_pool(self, pools, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out", jobs=2)
+        assert cli.cmd_simulate(config) == ["scene_0000", "scene_0001"]
+        assert pools == [2]
+
+    def test_workers_get_an_even_share_of_the_cpus(self, openblas):
+        jobs = 2
+        openblas[1](worker_share(jobs) + 1)  # the parent's count differs from the share
+        with cli._scene_pool(jobs) as scene_map:
+            seen = scene_map(_pool_blas_threads, range(4))
+            assert openblas[0]() == worker_share(jobs)
+        assert seen == [worker_share(jobs)] * 4
+        assert openblas[0]() == worker_share(jobs) + 1
+
+    @pytest.mark.parametrize("bad_scene", [False, True], ids=["ok", "stage-raises"])
+    def test_parent_blas_threads_restored(self, bad_scene, openblas, pools, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=3)
+        if bad_scene:
+            content = json.loads(manifest.read_text())
+            content["scenes"][2]["reference_mic"] = 9
+            manifest.write_text(json.dumps(content))
+        parent = worker_share(2) + 1
+        openblas[1](parent)
+        config = base_config(manifest, tmp_path / "out", jobs=2)
+        expected = cli.EXIT_INPUT if bad_scene else cli.EXIT_OK
+        assert run_main(tmp_path, config, "run-all") == expected
+        assert pools == [2]
+        assert openblas[0]() == parent
+        if bad_scene:
+            assert "'scene_0002'" in capsys.readouterr().err
+
+    def test_runs_without_openblas(self, monkeypatch, pools, tmp_path):
+        monkeypatch.setattr(cli, "_numpy_openblas", lambda: None)
+        manifest = write_manifest(tmp_path, num_scenes=3)
+        config = base_config(manifest, tmp_path / "out", jobs=2)
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        assert pools == [2]
+        assert len((tmp_path / "out" / "report.jsonl").read_text().splitlines()) == 3
+
+    def test_numpy_openblas_is_found(self):
+        """A numpy wheel with a bundled OpenBLAS must expose its thread
+        functions under a name the locator knows, or --jobs loses its cap."""
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        if not list(libs.glob("*openblas*")):
+            pytest.skip("numpy ships no bundled OpenBLAS")
+        blas = cli._numpy_openblas()
+        assert blas is not None
+        assert blas[0]() >= 1
+
+    def test_jobs_give_identical_outputs_on_pilot_scenes(self, tmp_path):
+        manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=2)
+        outputs, reports = {}, {}
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            reports[jobs] = cli.run(base_config(manifest, out_dir, jobs=jobs))["records"]
+            outputs[jobs] = {
+                p.relative_to(out_dir): p.read_bytes()
+                for pattern in ("scenes/*/est_*.wav", "scenes/*/flags.json")
+                for p in sorted(out_dir.glob(pattern))
+            }
+        assert len(outputs[1]) == 2 * 3
+        assert outputs[1] == outputs[2]
+        # scores are sums whose BLAS reduction order follows the thread
+        # count, so they may differ in the last bits
+        for serial, parallel in zip(reports[1], reports[2]):
+            assert serial["scene_id"] == parallel["scene_id"]
+            for key in ("input_db", "output_db"):
+                assert np.allclose(serial[key], parallel[key], rtol=0.0, atol=1e-12)
