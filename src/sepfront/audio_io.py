@@ -13,7 +13,7 @@ def read_wav(path):
     """Read a WAV file into a MultichannelWaveform (float64, channels x length)."""
     try:
         rate, data = wavfile.read(path)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # not a WAV, or not a readable file
         raise InputError(f"{path}: {exc}") from exc
     if data.ndim == 1:
         data = data[:, np.newaxis]

@@ -10,10 +10,10 @@ import argparse
 import contextlib
 import ctypes
 import json
-import math
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -44,40 +44,82 @@ COMMANDS = ("simulate", "separate", "evaluate", "run-all")
 
 SEPARATION_METHODS = ("mvdr", "masking")
 
-# JSON types each config value accepts; a bool is not taken as an int
-FIELD_TYPES = {
-    "command": (str,),
-    "scene_manifest": (str, type(None)),
-    "output_dir": (str,),
-    "seed": (int,),
-    "jobs": (int,),
-    "wav_format": (str,),
-    "stft": {"window_length": (int,), "hop": (int,), "fft_size": (int, type(None)),
-             "center_padding": (bool,)},
-    "separator": {"method": (str,), "mask_oracle_kind": (str,),
-                  "mask_import_dir": (str, type(None))},
-    "metric": {"name": (str,), "ci_sdr_taps": (int,), "cap_db": (int, float)},
+
+class _Key:
+    """One schema entry: the JSON types a value may take, whether its key is
+    required, and a (test, description) rule the value must pass. An object
+    value's keys follow keys, a dict of entries; a list value's items follow
+    the entry items. A bare dict in place of an entry is an object's keys."""
+
+    def __init__(self, *types, required=False, rule=None, keys=None, items=None):
+        self.types, self.required, self.rule = types, required, rule
+        self.keys, self.items = keys, items
+
+
+def _one_of(choices):
+    return (lambda value: value in choices), f"one of {', '.join(choices)}"
+
+
+_AT_LEAST_0 = (lambda value: value >= 0), ">= 0"
+_ABOVE_0 = (lambda value: value > 0), "> 0"
+
+# every key a config may set, with its JSON types and its choices or bound;
+# a section is the schema of its object
+CONFIG_SCHEMA = {
+    "command": _Key(str, rule=_one_of(COMMANDS)),
+    "scene_manifest": _Key(str, type(None)),
+    "output_dir": _Key(str),
+    "seed": _Key(int, rule=_AT_LEAST_0),
+    "jobs": _Key(int, rule=((lambda value: value >= 1), ">= 1")),
+    "wav_format": _Key(str, rule=_one_of(audio_io.WAV_FORMATS)),
+    "stft": {"window_length": _Key(int), "hop": _Key(int), "fft_size": _Key(int, type(None)),
+             "center_padding": _Key(bool)},
+    "separator": {"method": _Key(str, rule=_one_of(SEPARATION_METHODS)),
+                  "mask_oracle_kind": _Key(str, rule=_one_of(masks.MASK_KINDS)),
+                  "mask_import_dir": _Key(str, type(None))},
+    "metric": {"name": _Key(str, rule=_one_of(metrics.METRIC_FUNCTIONS)),
+               "ci_sdr_taps": _Key(int), "cap_db": _Key(int, float)},
 }
 
-# the values a string setting may take, keyed by its dotted name
-CHOICES = {
-    "command": COMMANDS,
-    "wav_format": audio_io.WAV_FORMATS,
-    "separator.method": SEPARATION_METHODS,
-    "separator.mask_oracle_kind": masks.MASK_KINDS,
-    "metric.name": metrics.METRIC_FUNCTIONS,
+# the array geometry of a manifest, or of a scene that overrides it
+_GEOMETRY = {
+    "mic_positions": _Key(list, required=True, rule=((lambda rows: len(rows) > 0), "non-empty"),
+                          items=_Key(list, rule=((lambda row: len(row) == 3), "an [x, y, z] list"),
+                                     items=_Key(int, float))),
+    "speed_of_sound": _Key(int, float, rule=_ABOVE_0),
 }
 
-# the least value an integer setting may take
-MINIMUMS = {"seed": 0, "jobs": 1}
+# every key a scene manifest may set. A scene's id names its directory under
+# output_dir/scenes, so it is one path component. A noise snr_db beyond
+# +-300 dB has no finite, non-zero noise scale left in float64's range.
+MANIFEST_SCHEMA = {
+    "sample_rate": _Key(int, rule=_ABOVE_0),
+    "geometry": _Key(dict, required=True, keys=_GEOMETRY),
+    "scenes": _Key(list, required=True, items={
+        "id": _Key(str, required=True, rule=(
+            (lambda i: i not in ("", ".", "..") and not any(c in i for c in "/\\\0")),
+            "one path component")),
+        "seed": _Key(int, rule=_AT_LEAST_0),
+        "reference_mic": _Key(int),
+        "sample_rate": _Key(int, rule=_ABOVE_0),
+        "geometry": _GEOMETRY,
+        "sources": _Key(list, required=True, rule=(
+            (lambda sources: len(sources) > 0 and all(type(s) is dict for s in sources)),
+            "a list of at least one source object"), items={
+                "path": _Key(str, required=True), "azimuth": _Key(int, float, required=True),
+                "elevation": _Key(int, float), "gain": _Key(int, float)}),
+        "noise": _Key(dict, type(None), rule=(
+            (lambda noise: noise is None or noise.get("kind") != "file" or "path" in noise),
+            "an object with a 'path' when its kind is 'file'"), keys={
+                "kind": _Key(str, required=True, rule=_one_of(simulate.NOISE_KINDS)),
+                "snr_db": _Key(int, float, required=True,
+                               rule=((lambda db: abs(db) <= 300), "within +-300 dB")),
+                "path": _Key(str)}),
+    }),
+}
 
-# JSON types of the values a manifest scene, each of its sources and its
-# noise may set; as in FIELD_TYPES, a bool is not taken as a number. A scene's
-# sample_rate and geometry are checked as the manifest's are, by _check_rendering
-SCENE_FIELD_TYPES = {"seed": (int,), "reference_mic": (int,)}
-SOURCE_FIELD_TYPES = {"path": (str,), "azimuth": (int, float), "elevation": (int, float),
-                      "gain": (int, float)}
-NOISE_FIELD_TYPES = {"path": (str,), "snr_db": (int, float)}
+# JSON names of the types a schema entry lists
+_JSON_NAMES = {dict: "object", type(None): "null", float: "finite float"}
 
 # thread-count functions of the OpenBLAS in numpy's wheel, newest naming first
 OPENBLAS_THREAD_SYMBOLS = (
@@ -91,74 +133,70 @@ OPENBLAS_THREAD_SYMBOLS = (
 def load_config(path=None, overrides=None):
     """Merge defaults, optional config file, and CLI flag overrides.
 
-    The file may set only the keys of DEFAULT_CONFIG, with the types in
-    FIELD_TYPES; sections are objects. Every merged value is then checked
-    against CHOICES and MINIMUMS and the STFT and metric configs are built,
-    so a bad value fails here, before any stage runs.
+    The merged config is checked against CONFIG_SCHEMA and the STFT and metric
+    configs are built, so a bad key or value fails here, before any stage runs.
     """
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     where = "config" if path is None else f"config file {path}"
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                user = json.load(f)
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigurationError(f"config file {path} must hold a JSON object")
-        for key, value in user.items():
-            types = FIELD_TYPES.get(key)
-            if types is None:
-                raise ConfigurationError(f"{where}: unknown key {key!r}")
-            if isinstance(types, dict):
-                _check_section(where, key, value)
-                config[key].update(value)
-            else:
-                _check_type(where, key, value, types)
-                config[key] = value
+    user = {} if path is None else _read_json(path, "config file", ConfigurationError)
+    for key, value in user.items():
+        if isinstance(config.get(key), dict) and isinstance(value, dict):
+            config[key].update(value)
+        else:
+            config[key] = value
     for key, value in (overrides or {}).items():
         if value is not None:
             config[key] = value
-    _check_values(where, config)
-    return config
-
-
-def _check_section(where, key, section):
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where}: {key!r} must be an object")
-    for field, value in section.items():
-        types = FIELD_TYPES[key].get(field)
-        if types is None:
-            raise ConfigurationError(f"{where}: unknown key '{key}.{field}'")
-        _check_type(where, f"{key}.{field}", value, types)
-
-
-def _check_type(where, name, value, types, error=ConfigurationError):
-    if type(value) not in types:
-        raise error(
-            f"{where}: {name!r} must be {' or '.join(t.__name__ for t in types)}, "
-            f"got {value!r}"
-        )
-
-
-def _check_values(where, config):
-    for name, choices in CHOICES.items():
-        section, _, field = name.rpartition(".")
-        value = config[section][field] if section else config[field]
-        if value not in choices:
-            raise ConfigurationError(
-                f"{where}: {name!r} must be one of {', '.join(choices)}, got {value!r}"
-            )
-    for name, least in MINIMUMS.items():
-        if config[name] < least:
-            raise ConfigurationError(f"{where}: {name!r} must be >= {least}, got {config[name]}")
+    _check(config, CONFIG_SCHEMA, "", where, ConfigurationError)
     for name, build in (("stft", _stft_config), ("metric", _metric_config)):
         try:
             build(config)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{where}: {name!r}: {exc}") from exc
+    return config
+
+
+def _read_json(path, what, error):
+    """The JSON object in the file at path; what names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            document = json.load(f)
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return document
+
+
+def _check(value, spec, name, where, error):
+    """Check a JSON value, found under the dotted key name, against its schema
+    entry, and everything it holds against theirs. The first failure raises
+    error naming where, the key and, inside a scene, the scene's id."""
+    if isinstance(spec, dict):
+        spec = _Key(dict, keys=spec)
+    # a bool is not a number, and a number must fit a finite float
+    if type(value) not in spec.types or (float in spec.types
+                                         and not abs(value) <= sys.float_info.max):
+        types = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in spec.types)
+        raise error(f"{where}: {name!r} must be {types}, got {value!r}")
+    if spec.rule and not spec.rule[0](value):
+        raise error(f"{where}: {name!r} must be {spec.rule[1]}, got {value!r}")
+    if isinstance(value, dict):
+        if "id" in spec.keys and type(value.get("id")) is str:  # a scene, named by its id
+            where, name = f"{where}: scene {value['id']!r}", ""
+        prefix, owner = (f"{name}.", f"{where}: {name!r}") if name else ("", where)
+        for key in value:
+            if key not in spec.keys:
+                raise error(f"{where}: unknown key {prefix + key!r}")
+        for key, entry in spec.keys.items():
+            if key in value:
+                _check(value[key], entry, prefix + key, where, error)
+            elif getattr(entry, "required", False):
+                raise error(f"{owner} is missing key {key!r}")
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        _check(item, spec.items, f"{name}[{i}]", where, error)
 
 
 def _stft_config(config):
@@ -171,99 +209,26 @@ def _metric_config(config):
 
 
 def load_manifest(path):
-    """Read a scene manifest and check its top level and its scene ids.
+    """Read a scene manifest and check all of it against MANIFEST_SCHEMA.
 
-    Each id names its scene's directory under output_dir/scenes, so it must be
-    one path component, not empty and not used twice. A bad id or top-level
-    value fails here, before anything is written.
+    Scene ids must also be unique, since each names its scene's directory. A
+    bad key or value in any scene fails here, before anything is written.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-    except FileNotFoundError as exc:
-        raise InputError(f"scene manifest not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"scene manifest {path} is not valid JSON: {exc}") from exc
+    manifest = _read_json(path, "scene manifest", InputError)
     where = f"scene manifest {path}"
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("scenes"), list):
-        raise InputError(f"{where} has no 'scenes' list")
-    _check_rendering(where, manifest)
-    seen = set()
-    for scene in manifest["scenes"]:
-        if not isinstance(scene, dict) or "id" not in scene:
-            raise InputError(f"{where} has a scene without an 'id'")
-        scene_id = scene["id"]
-        _check_type(f"{where}: scene {scene_id!r}", "id", scene_id, (str,), InputError)
-        if scene_id in ("", ".", "..") or any(c in scene_id for c in "/\\\0"):
-            raise InputError(f"{where}: scene id {scene_id!r} is not one path component")
-        if scene_id in seen:
+    _check(manifest, MANIFEST_SCHEMA, "", where, InputError)
+    for scene_id, count in Counter(scene["id"] for scene in manifest["scenes"]).items():
+        if count > 1:
             raise InputError(f"{where}: scene id {scene_id!r} is used more than once")
-        seen.add(scene_id)
     return manifest
 
 
-def _check_rendering(where, entry):
-    """Check the sample rate and array geometry the manifest, or a scene that
-    overrides them, sets: a positive integer rate, an M x 3 list of finite
-    mic positions and a finite positive speed of sound."""
-    if "sample_rate" in entry:
-        _check_type(where, "sample_rate", entry["sample_rate"], (int,), InputError)
-        if entry["sample_rate"] <= 0:
-            raise InputError(f"{where}: 'sample_rate' must be > 0, got {entry['sample_rate']}")
-    geometry = entry.get("geometry")
-    if geometry is None:  # a scene without one uses the manifest's
-        return
-    if not isinstance(geometry, dict):
-        raise InputError(f"{where}: 'geometry' must be an object, got {geometry!r}")
-    positions = geometry.get("mic_positions")
-    if not (isinstance(positions, list) and positions
-            and all(isinstance(p, list) and len(p) == 3 and all(map(_is_finite_number, p))
-                    for p in positions)):
-        raise InputError(
-            f"{where}: 'geometry.mic_positions' must be an M x 3 list of finite numbers, "
-            f"got {positions!r}"
-        )
-    if "speed_of_sound" in geometry:
-        speed = geometry["speed_of_sound"]
-        if not (_is_finite_number(speed) and speed > 0):
-            raise InputError(
-                f"{where}: 'geometry.speed_of_sound' must be a finite number > 0, got {speed!r}"
-            )
-
-
-def _is_finite_number(value):
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _check_scene(where, scene):
-    """Type-check the values _scene_spec reads from a manifest scene."""
-    sources, noise = scene["sources"], scene.get("noise")
-    if not (isinstance(sources, list) and all(isinstance(src, dict) for src in sources)):
-        raise InputError(f"{where}: 'sources' must be a list of objects, got {sources!r}")
-    if noise and not isinstance(noise, dict):
-        raise InputError(f"{where}: 'noise' must be an object, got {noise!r}")
-    entries = [("", scene, SCENE_FIELD_TYPES)]
-    entries += [(f"sources[{k}].", src, SOURCE_FIELD_TYPES) for k, src in enumerate(sources)]
-    if noise:
-        entries.append(("noise.", noise, NOISE_FIELD_TYPES))
-    for prefix, entry, types in entries:
-        for key, allowed in types.items():
-            if key in entry:
-                _check_type(where, prefix + key, entry[key], allowed, InputError)
-    _check_rendering(where, scene)
-    if scene.get("seed", 0) < 0:
-        raise InputError(f"{where}: 'seed' must be >= 0, got {scene['seed']}")
-
-
-def _geometry_from(entry):
-    return simulate.ArrayGeometry(
-        np.asarray(entry["mic_positions"], dtype=np.float64),
-        float(entry.get("speed_of_sound", simulate.SPEED_OF_SOUND)),
-    )
-
-
 def _scene_spec(scene, manifest, base_dir, global_seed):
-    geometry = _geometry_from(scene.get("geometry") or manifest["geometry"])
+    array = scene.get("geometry") or manifest["geometry"]
+    geometry = simulate.ArrayGeometry(
+        np.asarray(array["mic_positions"], dtype=np.float64),
+        float(array.get("speed_of_sound", simulate.SPEED_OF_SOUND)),
+    )
     sample_rate = int(scene.get("sample_rate", manifest.get("sample_rate", 16000)))
     sources = []
     for src in scene["sources"]:
@@ -388,15 +353,11 @@ def cmd_simulate(config, scene_map=None):
 
 def _simulate_one(arg):
     scene, manifest, manifest_path, global_seed, out_root, fmt = arg
-    where = f"scene manifest {manifest_path}: scene {scene['id']!r}"
-    try:
-        _check_scene(where, scene)
+    try:  # what only the simulator or the scene's WAVs can rule out
         spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
-    except KeyError as exc:
-        raise InputError(f"{where} is missing key {exc}") from exc
-    except ConfigurationError as exc:  # a scene value simulate's specs reject
-        raise InputError(f"{where}: {exc}") from exc
-    rendered = simulate.render_scene(spec)
+        rendered = simulate.render_scene(spec)
+    except (ConfigurationError, InputError) as exc:
+        raise InputError(f"scene manifest {manifest_path}: scene {scene['id']!r}: {exc}") from exc
     scene_dir = out_root / scene["id"]
     scene_dir.mkdir(parents=True, exist_ok=True)
     audio_io.write_wav(scene_dir / "mixture.wav", rendered.mixture, fmt)

@@ -17,6 +17,8 @@ SPEED_OF_SOUND = 343.0
 
 FRACTIONAL_DELAY_TAPS = 81
 
+NOISE_KINDS = ("white_gaussian", "file")
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -74,7 +76,7 @@ class NoiseSpec:
     samples: np.ndarray = None  # required for kind="file"
 
     def __post_init__(self):
-        if self.kind not in ("white_gaussian", "file"):
+        if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"unsupported noise kind: {self.kind!r}")
         if not np.isfinite(self.snr_db):
             raise InputError("snr_db must be finite")

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pilot_suite
 from conftest import speech_like
@@ -15,6 +17,9 @@ from sepfront.dsp import StftConfig
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
 
 FS = 16000
+
+# the manifest scene that write_manifest(num_scenes=3) renders last
+LAST = ("scenes", 2)
 
 
 def write_manifest(base, num_scenes=2, num_sources=2, num_mics=4, seconds=0.5,
@@ -133,6 +138,15 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out" / "scenes").exists()
 
+    @pytest.mark.parametrize("document, code", [("config", cli.EXIT_CONFIG),
+                                                ("manifest", cli.EXIT_INPUT)])
+    def test_file_that_is_not_utf8_exit_code(self, document, code, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        flag = "--config" if document == "config" else "--scene-manifest"
+        assert cli.main([flag, str(bad), "--output-dir", str(tmp_path / "out")]) == code
+        assert f"{bad} is not valid JSON" in capsys.readouterr().err
+
     def test_null_fft_size_follows_window_length(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"stft": {"window_length": 256, "hop": 64, "fft_size": None}}))
@@ -147,7 +161,120 @@ class TestConfig:
             return {k: keys(v) if isinstance(v, dict) else None for k, v in config.items()}
 
         assert keys(documented) == keys(cli.DEFAULT_CONFIG)
-        assert keys(cli.FIELD_TYPES) == keys(cli.DEFAULT_CONFIG)
+        assert keys(cli.CONFIG_SCHEMA) == keys(cli.DEFAULT_CONFIG)
+
+
+# strings that valid configs and manifests hold, so that drawn documents are
+# often valid
+CHOICE_WORDS = st.sampled_from([
+    *cli.COMMANDS, "float32", "pcm16", "mvdr", "masking", "irm", "psm", "si_sdr", "ci_sdr",
+    "white_gaussian", "file", "dry/s0_0.wav",
+])
+
+
+def json_values(integers):
+    """Any JSON value Python's json reads back, NaN and Infinity included."""
+    leaves = st.one_of(st.none(), st.booleans(), integers, st.floats(), st.text(max_size=6),
+                       CHOICE_WORDS)
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=5,
+    )
+
+
+def config_objects(schema=cli.CONFIG_SCHEMA, defaults=cli.DEFAULT_CONFIG):
+    """JSON objects of a few of the config's keys, at times with one it lacks.
+    A key's value is its default, any JSON value or, for a section, such an
+    object of the section's keys. Integers stay small, because load_config
+    builds the STFT, window included, that a valid config names."""
+    def entry(key):
+        value = st.just(defaults.get(key)) | json_values(st.integers(-2, 1 << 12))
+        if isinstance(schema.get(key), dict):
+            value |= config_objects(schema[key], defaults[key])
+        return st.tuples(st.just(key), value)
+
+    return st.lists(st.sampled_from([*schema, "ref_mic"]).flatmap(entry), max_size=3).map(dict)
+
+
+def node_paths(node, path=()):
+    """The path of every object key and list item under node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+def node_at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+def mutate(document, action, path, value):
+    """A copy of document with the key or item at path set to value or
+    deleted, or with the (key, value) pair value added to the object at path."""
+    document = copy.deepcopy(document)
+    if action == "add":
+        key, value = value
+        node_at(document, path)[key] = value
+    elif action == "set":
+        node_at(document, path[:-1])[path[-1]] = value
+    else:
+        del node_at(document, path[:-1])[path[-1]]
+    return document
+
+
+class TestSchemaProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=config_objects())
+    def test_any_config_object_loads_or_is_a_configuration_error(self, document, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        try:
+            config = cli.load_config(path)
+        except cli.ConfigurationError:
+            return
+        cli._check(config, cli.CONFIG_SCHEMA, "", "config", cli.ConfigurationError)
+        assert set(config) == set(cli.DEFAULT_CONFIG)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_manifest_mutation_exits_cleanly_inside_output_dir(self, data, tmp_path):
+        """One key of a valid 1-scene, 0.5 s manifest set to any JSON value,
+        deleted, or added: run-all exits 0, 2 or 3 and writes nothing outside
+        output_dir."""
+        base = tmp_path / "in"
+        if not base.exists():
+            write_manifest(base, num_scenes=1, num_mics=2)
+        valid = json.loads((base / "manifest.json").read_text())
+        manifest = base / "mutated.json"  # beside the dry WAVs its paths name
+        paths = list(node_paths(valid))
+        objects = [p for p in [(), *paths] if isinstance(node_at(valid, p), dict)]
+        value = json_values(st.integers())
+        action, path, new = data.draw(st.one_of(
+            st.tuples(st.just("set"), st.sampled_from(paths), value),
+            st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+            st.tuples(st.just("add"), st.sampled_from(objects),
+                      st.tuples(st.text(max_size=4), value)),
+        ))
+        manifest.write_text(json.dumps(mutate(valid, action, path, new)))
+        out = tmp_path / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        before = set(tmp_path.rglob("*"))
+        code = cli.main(["--command", "run-all", "--scene-manifest", str(manifest),
+                         "--output-dir", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INPUT)
+        written = set(tmp_path.rglob("*")) - before
+        assert all(p == out or out in p.parents for p in written)
 
 
 class TestAudioIo:
@@ -204,19 +331,33 @@ class TestSimulate:
         assert str(manifest) in err and "scene_0001" in err and "'azimuth'" in err
 
     @pytest.mark.parametrize("path, value, key", [
-        ((), {"seed": -1}, "seed"),
-        ((), {"id": 5}, "id"),
-        ((), {"sample_rate": "16k"}, "sample_rate"),
-        (("sources", 0), {"azimuth": "north"}, "azimuth"),
-        (("sources", 1), {"gain": "loud"}, "gain"),
-        (("noise",), {"snr_db": "x"}, "snr_db"),
-        ((), {"sample_rate": -16000}, "sample_rate"),
-        ((), {"geometry": {"mic_positions": [[0.0, 0.0]]}}, "mic_positions"),
+        (LAST, {"seed": -1}, "seed"),
+        (LAST, {"id": 5}, "id"),
+        (LAST, {"sample_rate": "16k"}, "sample_rate"),
+        ((*LAST, "sources", 0), {"azimuth": "north"}, "azimuth"),
+        ((*LAST, "sources", 1), {"gain": "loud"}, "gain"),
+        ((*LAST, "noise"), {"snr_db": "x"}, "snr_db"),
+        (LAST, {"sample_rate": -16000}, "sample_rate"),
+        (LAST, {"geometry": {"mic_positions": [[0.0, 0.0]]}}, "mic_positions"),
+        ((*LAST, "sources", 0), {"azimuth": float("nan")}, "azimuth"),
+        ((*LAST, "sources", 1), {"elevation": float("inf")}, "elevation"),
+        ((*LAST, "sources", 0), {"gain": float("-inf")}, "gain"),
+        ((*LAST, "noise"), {"snr_db": float("nan")}, "snr_db"),
+        (LAST, {"geometry": {"mic_positions": [[0.0, 0.0, 0.0]], "speed_of_sound": float("inf")}},
+         "speed_of_sound"),
+        (LAST, {"refrence_mic": 3}, "refrence_mic"),
+        ((), {"sampel_rate": 16000}, "sampel_rate"),
+        ((*LAST, "sources", 0), {"gian": 2.0}, "gian"),
+        (LAST, {"noise": False}, "noise"),
+        (LAST, {"noise": {}}, "noise"),
+        ((*LAST, "noise"), {"snr_db": 1e10}, "snr_db"),
     ])
     def test_bad_manifest_value_exit_code(self, path, value, key, tmp_path, capsys):
-        manifest = write_manifest(tmp_path, num_scenes=1)
-        content = json.loads(manifest.read_text())
-        entry = content["scenes"][0]
+        """A bad value in the scene that renders last, or at the top level,
+        exits 3 naming the key, before any scene is written."""
+        manifest = write_manifest(tmp_path, num_scenes=3)
+        content = json.loads(manifest.read_text())  # NaN and Infinity are JSON to Python
+        entry = content
         for step in path:
             entry = entry[step]
         entry.update(value)
@@ -225,6 +366,7 @@ class TestSimulate:
         assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert str(manifest) in err and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("entry, key", [
         ({"sample_rate": "x"}, "sample_rate"),
@@ -289,6 +431,29 @@ class TestSimulate:
             entry = entry[step]
         entry.update(value)
         manifest.write_text(json.dumps(content))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert str(manifest) in err and "'scene_0000'" in err and fragment in err
+
+    @pytest.mark.parametrize("wav, samples, rate, noise, fragment", [
+        ("noise.wav", np.full(100, 0.1), FS, {"kind": "file", "path": "noise.wav", "snr_db": 10.0},
+         "noise recording shorter than the scene"),
+        ("dry/s0_0.wav", np.full(FS // 4, 0.1), FS // 2, None,
+         f"sample rate {FS // 2} != scene rate {FS}"),
+        ("dry/s0_0.wav", np.zeros(FS // 2), FS, None, "zero-power source images"),
+        (None, None, None, {"kind": "file", "path": "dry", "snr_db": 10.0}, "Is a directory"),
+    ], ids=["noise-too-short", "source-rate", "zero-power-sources", "noise-path-is-a-directory"])
+    def test_render_error_names_manifest_and_scene(self, wav, samples, rate, noise, fragment,
+                                                   tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1, num_sources=1)
+        if wav is not None:
+            audio_io.write_wav(tmp_path / wav, audio_io.MultichannelWaveform(samples, rate))
+        if noise is not None:
+            content = json.loads(manifest.read_text())
+            content["scenes"][0]["noise"] = noise
+            manifest.write_text(json.dumps(content))
         config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
         assert run_main(tmp_path, config, "simulate") == cli.EXIT_INPUT
         err = capsys.readouterr().err
