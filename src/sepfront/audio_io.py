@@ -32,6 +32,9 @@ def write_wav(path, waveform, fmt="float32"):
     """Write a MultichannelWaveform; fmt is "float32" (default) or "pcm16"."""
     data = waveform.samples.T
     if fmt == "float32":
+        limit = np.finfo(np.float32).max  # beyond it the cast gives inf
+        if max(data.max(initial=0.0), -data.min(initial=0.0)) > limit:
+            raise InputError(f"{path}: samples beyond the float32 range (|x| > {limit:.6g})")
         wavfile.write(path, waveform.sample_rate, data.astype(np.float32))
     elif fmt == "pcm16":
         clipped = np.clip(data, -1.0, 32767.0 / 32768.0)

@@ -48,14 +48,7 @@ class BeamformerWeights:
     """Per-frequency M-vectors for one speaker, applied as w^H z."""
 
     weights: np.ndarray  # (F, M) complex
-    reference_mic: int
-    passthrough: np.ndarray = None  # (F,) bool, degenerate freqs using u
-
-    def __post_init__(self):
-        if self.passthrough is None:
-            object.__setattr__(
-                self, "passthrough", np.zeros(self.weights.shape[0], dtype=bool)
-            )
+    passthrough: np.ndarray  # (F,) bool, degenerate freqs using u
 
 
 def spatial_covariance(spec, mask):
@@ -152,7 +145,7 @@ def mvdr_weights(target, interference, ref_mic):
     weights[kept] = ratio[usable, :, ref_mic] / tr[usable, np.newaxis]
     passthrough = np.ones(num_freqs, dtype=bool)
     passthrough[kept] = False
-    return BeamformerWeights(weights=weights, reference_mic=ref_mic, passthrough=passthrough)
+    return BeamformerWeights(weights=weights, passthrough=passthrough)
 
 
 def apply_beamformer(weights, spec):
@@ -180,21 +173,20 @@ def separate_mvdr(mixture, mask_set, config, ref_mic):
         of per-speaker dicts with passthrough/zero-mass frequency counts.
     """
     spec = stft(mixture, config)
-    speaker_idx = mask_set.speaker_indices
-    covs = [spatial_covariance(spec, mask_set.stream(i)) for i in speaker_idx]
+    covs = [spatial_covariance(spec, mask) for mask in mask_set.speakers]
     noise_cov = spatial_covariance(spec, mask_set.noise_mask())
 
     waveforms = []
     flags = []
-    for pos, _ in enumerate(speaker_idx):
+    for pos, cov in enumerate(covs):
         interference = interference_covariance(covs + [noise_cov], pos)
-        weights = mvdr_weights(covs[pos], interference, ref_mic)
+        weights = mvdr_weights(cov, interference, ref_mic)
         beamformed = apply_beamformer(weights, spec)
         waveforms.append(istft(beamformed))
         flags.append(
             {
                 "passthrough_freqs": int(weights.passthrough.sum()),
-                "zero_mass_freqs": int(covs[pos].zero_mass.sum()),
+                "zero_mass_freqs": int(cov.zero_mass.sum()),
                 "loading": DEFAULT_LOADING,
             }
         )

@@ -35,9 +35,9 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "jobs": 1,
     "wav_format": "float32",
-    "stft": {"window_length": 512, "hop": 128, "fft_size": 512, "center_padding": True},
+    "stft": {"window_length": 512, "hop": 128, "fft_size": 512},
     "separator": {"method": "mvdr", "mask_oracle_kind": "irm", "mask_import_dir": None},
-    "metric": {"name": "si_sdr", "ci_sdr_taps": 512, "cap_db": 100.0},
+    "metric": {"name": "si_sdr", "ci_sdr_taps": 512},
 }
 
 COMMANDS = ("simulate", "separate", "evaluate", "run-all")
@@ -62,6 +62,9 @@ def _one_of(choices):
 
 _AT_LEAST_0 = (lambda value: value >= 0), ">= 0"
 _ABOVE_0 = (lambda value: value > 0), "> 0"
+# load_config builds the STFT window, so an absurd size fails here, not in
+# the allocation; a null fft_size means the window length
+_STFT_SIZE = (lambda value: value is None or value <= 1 << 16), "<= 65536"
 
 # every key a config may set, with its JSON types and its choices or bound;
 # a section is the schema of its object
@@ -72,13 +75,13 @@ CONFIG_SCHEMA = {
     "seed": _Key(int, rule=_AT_LEAST_0),
     "jobs": _Key(int, rule=((lambda value: value >= 1), ">= 1")),
     "wav_format": _Key(str, rule=_one_of(audio_io.WAV_FORMATS)),
-    "stft": {"window_length": _Key(int), "hop": _Key(int), "fft_size": _Key(int, type(None)),
-             "center_padding": _Key(bool)},
+    "stft": {"window_length": _Key(int, rule=_STFT_SIZE), "hop": _Key(int),
+             "fft_size": _Key(int, type(None), rule=_STFT_SIZE)},
     "separator": {"method": _Key(str, rule=_one_of(SEPARATION_METHODS)),
                   "mask_oracle_kind": _Key(str, rule=_one_of(masks.MASK_KINDS)),
                   "mask_import_dir": _Key(str, type(None))},
     "metric": {"name": _Key(str, rule=_one_of(metrics.METRIC_FUNCTIONS)),
-               "ci_sdr_taps": _Key(int), "cap_db": _Key(int, float)},
+               "ci_sdr_taps": _Key(int)},
 }
 
 # the array geometry of a manifest, or of a scene that overrides it
@@ -204,8 +207,7 @@ def _stft_config(config):
 
 
 def _metric_config(config):
-    m = config["metric"]
-    return metrics.MetricConfig(ci_sdr_taps=m["ci_sdr_taps"], cap_db=float(m["cap_db"]))
+    return metrics.MetricConfig(ci_sdr_taps=config["metric"]["ci_sdr_taps"])
 
 
 def load_manifest(path):
@@ -353,17 +355,17 @@ def cmd_simulate(config, scene_map=None):
 
 def _simulate_one(arg):
     scene, manifest, manifest_path, global_seed, out_root, fmt = arg
-    try:  # what only the simulator or the scene's WAVs can rule out
+    try:  # what only the simulator, the scene's WAVs or the WAV format can rule out
         spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
         rendered = simulate.render_scene(spec)
+        scene_dir = out_root / scene["id"]
+        scene_dir.mkdir(parents=True, exist_ok=True)
+        audio_io.write_wav(scene_dir / "mixture.wav", rendered.mixture, fmt)
+        for k, image in enumerate(rendered.source_images, start=1):
+            audio_io.write_wav(scene_dir / f"source_{k}.wav", image, fmt)
+        audio_io.write_wav(scene_dir / "noise.wav", rendered.noise_image, fmt)
     except (ConfigurationError, InputError) as exc:
         raise InputError(f"scene manifest {manifest_path}: scene {scene['id']!r}: {exc}") from exc
-    scene_dir = out_root / scene["id"]
-    scene_dir.mkdir(parents=True, exist_ok=True)
-    audio_io.write_wav(scene_dir / "mixture.wav", rendered.mixture, fmt)
-    for k, image in enumerate(rendered.source_images, start=1):
-        audio_io.write_wav(scene_dir / f"source_{k}.wav", image, fmt)
-    audio_io.write_wav(scene_dir / "noise.wav", rendered.noise_image, fmt)
     echo = dict(rendered.manifest)
     echo["id"] = scene["id"]
     with open(scene_dir / "scene.json", "w", encoding="utf-8") as f:
@@ -382,17 +384,14 @@ def load_scene_masks(scene_dir, config, stft_config, mixture=None):
     """Oracle masks at the scene's reference mic, or imported masks.
 
     Oracle masks read the scene's mixture.wav unless the caller passes the
-    mixture it has read. An imported tensor with one stream per source plus
-    one has noise last.
+    mixture it has read. An imported tensor holds one stream per source and
+    at most one noise stream after them.
     """
     sep = config["separator"]
     ref_mic, num_sources = _scene_record(scene_dir)
     if sep["mask_import_dir"]:
-        mask_set = masks.MaskSet.load(Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns")
-        if mask_set.num_streams == num_sources + 1:
-            labels = mask_set.labels[:-1] + (masks.NOISE_LABEL,)
-            mask_set = masks.MaskSet(mask_set.masks, labels)
-        return mask_set
+        return masks.MaskSet.load(Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns",
+                                  num_sources)
 
     images = []
     for k in range(1, num_sources + 1):

@@ -18,18 +18,12 @@ from .errors import ConfigurationError, InputError
 _COVERAGE_TOL = 1e-12
 
 
-def make_window(kind, length):
-    """Build an analysis window.
-
-    Args:
-        kind: window family; only "hann" is supported.
-        length: number of taps, at least 2.
+def make_window(length):
+    """Periodic Hann analysis window of length taps, at least 2.
 
     Returns:
-        float64 vector of the periodic window, w[n] = 0.5*(1 - cos(2*pi*n/length)).
+        float64 vector w[n] = 0.5*(1 - cos(2*pi*n/length)).
     """
-    if kind != "hann":
-        raise ConfigurationError(f"unsupported window kind: {kind!r}")
     if length < 2:
         raise ConfigurationError(f"window length must be >= 2, got {length}")
     n = np.arange(length, dtype=np.float64)
@@ -43,7 +37,6 @@ class StftConfig:
     window_length: int = 512
     hop: int = 128
     fft_size: int = None
-    center_padding: bool = True
 
     def __post_init__(self):
         if self.fft_size is None:
@@ -71,18 +64,11 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
     def window(self):
-        return make_window("hann", self.window_length)
+        return make_window(self.window_length)
 
     def num_frames(self, length):
         """Frame count for a signal of the given length."""
-        if self.center_padding:
-            return 1 + length // self.hop
-        if length < self.window_length:
-            raise InputError(
-                f"signal of length {length} shorter than window ({self.window_length}) "
-                "with center_padding disabled"
-            )
-        return 1 + (length - self.window_length) // self.hop
+        return 1 + length // self.hop
 
 
 @dataclass(frozen=True)
@@ -181,17 +167,16 @@ class Spectrogram:
 def stft(waveform, config):
     """Short-time Fourier transform of every channel.
 
-    Frame t covers samples [t*hop, t*hop + window_length) of the (optionally
-    center-padded) signal; spectra are one-sided rfft of size fft_size.
+    Frame t covers samples [t*hop, t*hop + window_length) of the signal after
+    window_length // 2 leading zeros; spectra are one-sided rfft of size fft_size.
     """
     x = waveform.samples
     if not np.all(np.isfinite(x)):
         raise InputError("waveform contains NaN or Inf samples")
     length = x.shape[1]
-    num_frames = config.num_frames(length)  # raises for too-short input
+    num_frames = config.num_frames(length)
     w = config.window_length
-    pad = w // 2 if config.center_padding else 0
-    x = np.pad(x, ((0, 0), (pad, pad + w)))
+    x = np.pad(x, ((0, 0), (w // 2, w // 2 + w)))
     frames = sliding_window_view(x, w, axis=1)[:, : num_frames * config.hop: config.hop]
     spectra = np.fft.rfft(frames * config.window(), n=config.fft_size, axis=2)
     return Spectrogram(spectra, config, length, waveform.sample_rate)
@@ -222,8 +207,7 @@ def istft(spec):
     acc[:, covered] /= norm[covered]
     acc[:, ~covered] = 0.0
 
-    offset = w // 2 if config.center_padding else 0
-    out = acc[:, offset: offset + spec.original_length]
+    out = acc[:, w // 2: w // 2 + spec.original_length]
     if out.shape[1] < spec.original_length:
         out = np.pad(out, ((0, 0), (0, spec.original_length - out.shape[1])))
     return MultichannelWaveform(out, spec.sample_rate)

@@ -15,47 +15,36 @@ from .errors import ConfigurationError, InputError
 
 MASK_EPS = 1e-12
 
-NOISE_LABEL = "noise"
-
 MASK_KINDS = ("ibm", "irm", "psm")
 
 
 @dataclass(frozen=True)
 class MaskSet:
-    """Real T-F masks, streams x frames x frequencies, with stream labels."""
+    """Real T-F masks, streams x frames x frequencies: num_speakers speaker
+    streams, then at most one noise stream."""
 
     masks: np.ndarray
-    labels: tuple
+    num_speakers: int
 
     def __post_init__(self):
         masks = np.asarray(self.masks, dtype=np.float64)
         if masks.ndim != 3:
             raise InputError(f"masks must be 3-D, got ndim={masks.ndim}")
-        labels = tuple(self.labels)
-        if len(labels) != masks.shape[0]:
-            raise InputError(
-                f"{len(labels)} labels for {masks.shape[0]} mask streams"
-            )
+        if masks.shape[0] not in (self.num_speakers, self.num_speakers + 1):
+            raise InputError(f"{masks.shape[0]} mask streams for {self.num_speakers} speakers, "
+                             "not one per speaker plus at most one noise stream")
         if not np.all(masks >= 0.0):
             raise InputError("mask values must be nonnegative (NaN is rejected)")
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "labels", labels)
 
     @property
-    def num_streams(self):
-        return self.masks.shape[0]
-
-    @property
-    def speaker_indices(self):
-        return [i for i, lab in enumerate(self.labels) if lab != NOISE_LABEL]
-
-    def stream(self, index):
-        return self.masks[index]
+    def speakers(self):
+        return self.masks[:self.num_speakers]
 
     def noise_mask(self):
         """Noise stream, materialized as clip(1 - sum of speaker masks) if absent."""
-        if NOISE_LABEL in self.labels:
-            return self.masks[self.labels.index(NOISE_LABEL)]
+        if len(self.masks) > self.num_speakers:
+            return self.masks[-1]
         residual = 1.0 - self.masks.sum(axis=0)
         return np.clip(residual, 0.0, 1.0)
 
@@ -63,11 +52,12 @@ class MaskSet:
         tensorio.save_tensor(path, self.masks)
 
     @classmethod
-    def load(cls, path, labels=None):
+    def load(cls, path, num_speakers):
         masks = np.asarray(tensorio.load_tensor(path), dtype=np.float64)
-        if labels is None:
-            labels = tuple(f"speaker_{i + 1}" for i in range(masks.shape[0]))
-        return cls(np.clip(masks, 0.0, None), labels)
+        try:
+            return cls(np.clip(masks, 0.0, None), num_speakers)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def oracle_mask(images, kind, mixture):
@@ -109,8 +99,7 @@ def oracle_mask(images, kind, mixture):
         proj = np.real(refs * np.conj(mix))
         masks = np.clip(proj / (np.abs(mix) ** 2 + MASK_EPS), 0.0, 1.0)
 
-    labels = tuple(f"speaker_{i + 1}" for i in range(len(images) - 1)) + (NOISE_LABEL,)
-    return MaskSet(masks, labels)
+    return MaskSet(masks, len(images) - 1)
 
 
 def _reference_spectrogram(waveform, config, ref_mic):
@@ -164,4 +153,4 @@ def separate_masking(mixture, mask_set, config, ref_mic):
         list of K single-channel MultichannelWaveforms.
     """
     ref = _reference_spectrogram(mixture, config, ref_mic)
-    return [istft(apply_mask(mask_set.stream(k), ref)) for k in mask_set.speaker_indices]
+    return [istft(apply_mask(mask, ref)) for mask in mask_set.speakers]

@@ -25,19 +25,19 @@ EXHAUSTIVE_LIMIT = 6
 # ridge added to the diagonal of the CI-SDR Gram matrix
 FIR_RIDGE = 1e-12
 
+# SI-SDR and CI-SDR scores are clipped to +/- CAP_DB
+CAP_DB = 100.0
+
 
 @dataclass(frozen=True)
 class MetricConfig:
     """Knobs shared by the SDR-style metrics."""
 
     ci_sdr_taps: int = 512
-    cap_db: float = 100.0
 
     def __post_init__(self):
         if self.ci_sdr_taps < 1:
             raise ConfigurationError("ci_sdr_taps must be >= 1")
-        if not (np.isfinite(self.cap_db) and self.cap_db > 0):
-            raise ConfigurationError("cap_db must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,20 @@ def _as_pair(estimate, reference):
     return est, ref
 
 
-def _ratio_db(signal_power, error_power, cap_db):
+def _ratio_db(signal_power, error_power):
     if signal_power <= 0.0:
-        return -cap_db
+        return -CAP_DB
     if error_power <= 0.0:
-        return cap_db
-    return float(np.clip(10.0 * np.log10(signal_power / error_power), -cap_db, cap_db))
+        return CAP_DB
+    return float(np.clip(10.0 * np.log10(signal_power / error_power), -CAP_DB, CAP_DB))
 
 
 def si_sdr(estimate, reference, config=MetricConfig()):
-    """Scale-invariant SDR in dB, capped at +/- cap_db.
+    """Scale-invariant SDR in dB, capped at +/- CAP_DB.
 
     The reference is scaled by alpha = <estimate, reference> / ||reference||^2
-    before the error term is formed.
+    before the error term is formed. config is unused; it keeps ci_sdr's
+    signature, so METRIC_FUNCTIONS calls either the same way.
     """
     est, ref = _as_pair(estimate, reference)
     ref_energy = float(np.dot(ref, ref))
@@ -96,11 +97,7 @@ def si_sdr(estimate, reference, config=MetricConfig()):
         raise InputError("reference signal is all-zero")
     alpha = float(np.dot(est, ref)) / ref_energy
     target = alpha * ref
-    return _ratio_db(
-        float(np.dot(target, target)),
-        float(np.sum((target - est) ** 2)),
-        config.cap_db,
-    )
+    return _ratio_db(float(np.dot(target, target)), float(np.sum((target - est) ** 2)))
 
 
 def _fir_fit(estimate, reference, taps):
@@ -135,7 +132,7 @@ def _fir_fit(estimate, reference, taps):
 
 
 def ci_sdr(estimate, reference, config=MetricConfig()):
-    """Convolutive-transfer-function-invariant SDR in dB, capped at +/- cap_db.
+    """Convolutive-transfer-function-invariant SDR in dB, capped at +/- CAP_DB.
 
     Fits a length-ci_sdr_taps FIR of the reference to the estimate in the
     least-squares sense and scores the residual.
@@ -148,11 +145,7 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
     if float(np.dot(ref, ref)) == 0.0:
         raise InputError("reference signal is all-zero")
     fitted = _fir_fit(est, ref, config.ci_sdr_taps)
-    return _ratio_db(
-        float(np.dot(fitted, fitted)),
-        float(np.sum((est - fitted) ** 2)),
-        config.cap_db,
-    )
+    return _ratio_db(float(np.dot(fitted, fitted)), float(np.sum((est - fitted) ** 2)))
 
 
 def waveform_spectral_l1(estimate, reference, stft_config, weights=LossWeights()):

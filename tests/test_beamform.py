@@ -31,6 +31,11 @@ def multichannel_spec(rng, channels, frames, cfg=CFG):
     return Spectrogram(bins, cfg, (frames - 1) * cfg.hop)
 
 
+def fixed_weights(w):
+    """BeamformerWeights of the (F, M) weights w, with no passthrough frequency."""
+    return BeamformerWeights(w, np.zeros(len(w), dtype=bool))
+
+
 def random_psd(rng, m):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return a @ a.conj().T + 0.1 * np.eye(m)
@@ -130,7 +135,7 @@ class TestSpatialCovariance:
     def test_equals_einsum_on_pilot_scenes(self, pilot_spectra):
         zero_bins = [0, 100, 256]
         for spec, mask_set in pilot_spectra:
-            for k in range(mask_set.num_streams):
+            for k in range(len(mask_set.masks)):
                 mask = mask_set.masks[k].copy()
                 mask[:, zero_bins] = 0.0
                 cov = spatial_covariance(spec, mask)
@@ -153,7 +158,7 @@ class TestSpatialCovariance:
         assert layout.flags.c_contiguous and layout.shape == (CFG.num_bins, 3, 5)
         np.testing.assert_array_equal(layout, bins.transpose(2, 0, 1))
         spatial_covariance(spec, rng.uniform(0.0, 1.0, (5, CFG.num_bins)))
-        apply_beamformer(BeamformerWeights(np.ones((CFG.num_bins, 3), complex), 0), spec)
+        apply_beamformer(fixed_weights(np.ones((CFG.num_bins, 3), complex)), spec)
         assert spec.freq_major is layout
         np.testing.assert_array_equal(spec.bins, bins)
         np.testing.assert_array_equal(layout, bins.transpose(2, 0, 1))
@@ -300,19 +305,19 @@ class TestApplyBeamformer:
         spec = multichannel_spec(rng, 3, 4)
         w = np.zeros((CFG.num_bins, 3), dtype=complex)
         w[:, 1] = 1.0
-        out = apply_beamformer(BeamformerWeights(w, reference_mic=1), spec)
+        out = apply_beamformer(fixed_weights(w), spec)
         np.testing.assert_array_equal(out.bins[0], spec.bins[1])
 
     def test_single_channel_unit_weight(self, rng):
         spec = multichannel_spec(rng, 1, 4)
         w = np.ones((CFG.num_bins, 1), dtype=complex)
-        out = apply_beamformer(BeamformerWeights(w, 0), spec)
+        out = apply_beamformer(fixed_weights(w), spec)
         np.testing.assert_array_equal(out.bins, spec.bins)
 
     def test_matches_per_bin_dot_product(self, rng):
         spec = multichannel_spec(rng, 3, 5)
         w = rng.standard_normal((CFG.num_bins, 3)) + 1j * rng.standard_normal((CFG.num_bins, 3))
-        out = apply_beamformer(BeamformerWeights(w, 0), spec)
+        out = apply_beamformer(fixed_weights(w), spec)
         for t in (0, 4):
             for f in (0, 57, 256):
                 expected = np.vdot(w[f], spec.bins[:, t, f])
@@ -333,7 +338,7 @@ class TestApplyBeamformer:
         a = multichannel_spec(rng, 2, 4)
         b = multichannel_spec(rng, 2, 4)
         w = rng.standard_normal((CFG.num_bins, 2)) + 0j
-        weights = BeamformerWeights(w, 0)
+        weights = fixed_weights(w)
         combined = apply_beamformer(
             weights, Spectrogram(a.bins + 3.0 * b.bins, CFG, a.original_length)
         )
@@ -347,7 +352,7 @@ class TestApplyBeamformer:
         spec = multichannel_spec(rng, 3, 4)
         w = np.ones((CFG.num_bins, 2), dtype=complex)
         with pytest.raises(InputError):
-            apply_beamformer(BeamformerWeights(w, 0), spec)
+            apply_beamformer(fixed_weights(w), spec)
 
 
 class TestSeparateMvdr:
@@ -360,7 +365,7 @@ class TestSeparateMvdr:
         )
         scene = render_scene(spec)
         frames = CFG.num_frames(n)
-        ones = MaskSet(np.ones((1, frames, CFG.num_bins)), ("speaker_1",))
+        ones = MaskSet(np.ones((1, frames, CFG.num_bins)), 1)
         outs, _ = separate_mvdr(scene.mixture, ones, CFG, ref_mic=0)
         score = si_sdr(outs[0].samples[0], scene.source_images[0].samples[0])
         assert score > 40.0
@@ -381,7 +386,7 @@ class TestSeparateMvdr:
         mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
         swapped = MaskSet(
             np.stack([mask_set.masks[1], mask_set.masks[0], mask_set.masks[2]]),
-            mask_set.labels,
+            mask_set.num_speakers,
         )
         outs, _ = separate_mvdr(scene.mixture, mask_set, CFG, 0)
         outs_swapped, _ = separate_mvdr(scene.mixture, swapped, CFG, 0)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pilot_suite
 from conftest import speech_like
-from sepfront import audio_io, cli
+from sepfront import audio_io, beamform, cli
 from sepfront.beamform import separate_mvdr
 from sepfront.dsp import StftConfig
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
@@ -127,7 +127,9 @@ class TestConfig:
          ({"separator": {"mask_oracle_kind": "cirm"}}, "'separator.mask_oracle_kind'"),
          ({"metric": {"name": "sdr"}}, "'metric.name'"),
          ({"metric": {"ci_sdr_taps": 0}}, "'metric': ci_sdr_taps"),
-         ({"metric": {"cap_db": -1}}, "'metric': cap_db")],
+         ({"stft": {"window_length": 1 << 40, "hop": 1 << 39, "fft_size": 1 << 40}},
+          "'stft.window_length' must be <= 65536"),
+         ({"stft": {"fft_size": 1 << 40}}, "'stft.fft_size' must be <= 65536")],
     )
     def test_bad_value_exits_at_load(self, entry, key, tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -187,10 +189,9 @@ def json_values(integers):
 def config_objects(schema=cli.CONFIG_SCHEMA, defaults=cli.DEFAULT_CONFIG):
     """JSON objects of a few of the config's keys, at times with one it lacks.
     A key's value is its default, any JSON value or, for a section, such an
-    object of the section's keys. Integers stay small, because load_config
-    builds the STFT, window included, that a valid config names."""
+    object of the section's keys."""
     def entry(key):
-        value = st.just(defaults.get(key)) | json_values(st.integers(-2, 1 << 12))
+        value = st.just(defaults.get(key)) | json_values(st.integers())
         if isinstance(schema.get(key), dict):
             value |= config_objects(schema[key], defaults[key])
         return st.tuples(st.just(key), value)
@@ -437,22 +438,27 @@ class TestSimulate:
         assert err.startswith("input error:")
         assert str(manifest) in err and "'scene_0000'" in err and fragment in err
 
-    @pytest.mark.parametrize("wav, samples, rate, noise, fragment", [
-        ("noise.wav", np.full(100, 0.1), FS, {"kind": "file", "path": "noise.wav", "snr_db": 10.0},
+    @pytest.mark.parametrize("wav, samples, rate, entry, fragment", [
+        ("noise.wav", np.full(100, 0.1), FS,
+         {"noise": {"kind": "file", "path": "noise.wav", "snr_db": 10.0}},
          "noise recording shorter than the scene"),
         ("dry/s0_0.wav", np.full(FS // 4, 0.1), FS // 2, None,
          f"sample rate {FS // 2} != scene rate {FS}"),
         ("dry/s0_0.wav", np.zeros(FS // 2), FS, None, "zero-power source images"),
-        (None, None, None, {"kind": "file", "path": "dry", "snr_db": 10.0}, "Is a directory"),
-    ], ids=["noise-too-short", "source-rate", "zero-power-sources", "noise-path-is-a-directory"])
-    def test_render_error_names_manifest_and_scene(self, wav, samples, rate, noise, fragment,
+        (None, None, None, {"noise": {"kind": "file", "path": "dry", "snr_db": 10.0}},
+         "Is a directory"),
+        (None, None, None, {"sources": [{"path": "dry/s0_0.wav", "azimuth": 0.3, "gain": 1e40}]},
+         "mixture.wav: samples beyond the float32 range"),
+    ], ids=["noise-too-short", "source-rate", "zero-power-sources", "noise-path-is-a-directory",
+            "gain-beyond-float32"])
+    def test_render_error_names_manifest_and_scene(self, wav, samples, rate, entry, fragment,
                                                    tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=1, num_sources=1)
         if wav is not None:
             audio_io.write_wav(tmp_path / wav, audio_io.MultichannelWaveform(samples, rate))
-        if noise is not None:
+        if entry is not None:
             content = json.loads(manifest.read_text())
-            content["scenes"][0]["noise"] = noise
+            content["scenes"][0].update(entry)
             manifest.write_text(json.dumps(content))
         config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out")}
         assert run_main(tmp_path, config, "simulate") == cli.EXIT_INPUT
@@ -496,11 +502,11 @@ class TestSeparate:
         frames = stft_config.num_frames(mixture.num_samples)
         rng = np.random.default_rng(5)
         masks = rng.uniform(0.0, 1.0, (2, frames, stft_config.num_bins)).astype(np.float32)
-        mask_set = MaskSet(masks.astype(np.float64), ("speaker_1", "speaker_2"))
+        mask_set = MaskSet(masks.astype(np.float64), 2)
         mask_set.save(mask_dir / "scene_0000.tns")
         cli.cmd_separate(config)
 
-        api_out, _ = separate_mvdr(mixture, MaskSet.load(mask_dir / "scene_0000.tns"),
+        api_out, _ = separate_mvdr(mixture, MaskSet.load(mask_dir / "scene_0000.tns", 2),
                                    stft_config, 0)
         for k, est in enumerate(api_out, start=1):
             written = audio_io.read_wav(
@@ -540,7 +546,7 @@ class TestSeparate:
         )
         config["separator"]["mask_import_dir"] = str(mask_dir)
         imported = cli.load_scene_masks(scene_dir, config, StftConfig(512, 128))
-        assert imported.labels == ("speaker_1", "speaker_2", "noise")
+        assert imported.num_speakers == 2 and len(imported.masks) == 3
         assert run_main(tmp_path, config, "separate") == cli.EXIT_OK
         assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
         assert sorted(p.name for p in scene_dir.glob("est_*.wav")) == ["est_1.wav", "est_2.wav"]
@@ -555,6 +561,24 @@ class TestSeparate:
         )
         cli.cmd_simulate(config)
         assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("streams", [1, 4], ids=["K-1", "K+2"])
+    def test_mask_file_stream_count_exit_code(self, streams, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        config = base_config(
+            manifest, tmp_path / "out", separator={"mask_import_dir": str(mask_dir)}
+        )
+        cli.cmd_simulate(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
+        frames = StftConfig(512, 128).num_frames(mixture.num_samples)
+        path = mask_dir / "scene_0000.tns"
+        MaskSet(np.full((streams, frames, 257), 0.25), streams).save(path)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+        assert f"{path}: {streams} mask streams for 2 speakers" in capsys.readouterr().err
+        assert not list(scene_dir.glob("est_*.wav"))
 
     def test_stale_estimates_are_not_scored(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -688,6 +712,20 @@ class TestRunAll:
         report = cli.run(base_config(second, tmp_path / "out"))
         assert [r["scene_id"] for r in report["records"]] == ["other_0000"]
         assert report["aggregate"]["num_scenes"] == 1
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("Singular matrix"),
+                                       cli.NumericalError("solve failed")],
+                             ids=["LinAlgError", "NumericalError"])
+    def test_numerical_failure_exit_code(self, error, tmp_path, monkeypatch, capsys):
+        def failing_mvdr_weights(*args):
+            raise error
+
+        monkeypatch.setattr(beamform, "mvdr_weights", failing_mvdr_weights)
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        code = cli.main(["--command", "run-all", "--scene-manifest", str(manifest),
+                         "--output-dir", str(tmp_path / "out"), "--jobs", "1"])
+        assert code == cli.EXIT_NUMERICAL
+        assert f"numerical failure: {error}" in capsys.readouterr().err
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=3)

@@ -46,7 +46,7 @@ class TestOracleMask:
         mixture = source
         for kind in ("ibm", "irm"):
             mask_set = oracle_mask([source, noise], kind, mixture)
-            speaker = mask_set.stream(0)
+            speaker = mask_set.masks[0]
             active = np.abs(source.bins[0]) > 0
             np.testing.assert_allclose(speaker[active], 1.0, atol=1e-6)
 
@@ -60,8 +60,8 @@ class TestOracleMask:
         mask_set = oracle_mask(
             [spec_from(a), spec_from(b), spec_from(noise)], "ibm", spec_from(a + b)
         )
-        np.testing.assert_array_equal(mask_set.stream(0), np.abs(a) > 0)
-        np.testing.assert_array_equal(mask_set.stream(1), np.abs(b) > 0)
+        np.testing.assert_array_equal(mask_set.masks[0], np.abs(a) > 0)
+        np.testing.assert_array_equal(mask_set.masks[1], np.abs(b) > 0)
 
     def test_irm_per_bin_oracle(self, rng):
         specs = random_specs(rng, 3)  # 2 speakers + noise
@@ -71,7 +71,7 @@ class TestOracleMask:
         mags = [abs(s.bins[0, t, f]) for s in specs]
         for k in range(3):
             expected = mags[k] / (sum(mags) + MASK_EPS)
-            assert abs(mask_set.stream(k)[t, f] - expected) < 1e-12
+            assert abs(mask_set.masks[k][t, f] - expected) < 1e-12
 
     def test_psm_clipped_and_projected(self, rng):
         specs = random_specs(rng, 2)
@@ -84,7 +84,7 @@ class TestOracleMask:
         expected = np.clip(
             np.real(specs[0].bins[0, t, f] * np.conj(z)) / (abs(z) ** 2 + MASK_EPS), 0, 1
         )
-        assert abs(mask_set.stream(0)[t, f] - expected) < 1e-12
+        assert abs(mask_set.masks[0][t, f] - expected) < 1e-12
 
     def test_irm_streams_sum_to_at_most_one(self, rng):
         specs = random_specs(rng, 4)
@@ -107,7 +107,7 @@ class TestOracleMask:
             "ibm",
             spec_from(3 * same),
         )
-        assert np.all(mask_set.stream(0) == 1.0)
+        assert np.all(mask_set.masks[0] == 1.0)
         assert np.all(mask_set.masks[1:] == 0.0)
 
     def test_shape_mismatch(self, rng):
@@ -139,7 +139,7 @@ class TestOracleMaskFromWaveforms:
                 expected = oracle_mask(specs, kind, mixture)
                 got = oracle_mask_from_waveforms(scene.mixture, images, kind, CFG, ref_mic)
                 assert np.array_equal(got.masks, expected.masks)
-                assert got.labels == expected.labels
+                assert got.num_speakers == expected.num_speakers
 
     def test_ref_mic_out_of_range(self):
         scene = render_scene(pilot_suite.make_scene(0))
@@ -153,12 +153,21 @@ class TestNoiseMask:
         specs = random_specs(rng, 2)
         mixture = spec_from(sum(s.bins[0] for s in specs))
         mask_set = oracle_mask(specs, "irm", mixture)
-        np.testing.assert_array_equal(mask_set.noise_mask(), mask_set.stream(1))
+        np.testing.assert_array_equal(mask_set.noise_mask(), mask_set.masks[1])
+
+    def test_trailing_stream_is_noise(self, rng):
+        masks = rng.uniform(0, 1, (3, 4, CFG.num_bins))
+        mask_set = MaskSet(masks, 2)
+        np.testing.assert_array_equal(mask_set.speakers, masks[:2])
+        np.testing.assert_array_equal(mask_set.noise_mask(), masks[2])
+        for num_speakers in (1, 4):  # two noise streams, or a speaker missing
+            with pytest.raises(InputError, match="3 mask streams"):
+                MaskSet(masks, num_speakers)
 
     def test_residual_noise_mask(self, rng):
         shape = (4, CFG.num_bins)
         speakers = np.clip(rng.uniform(0, 0.8, size=(2,) + shape), 0, 1)
-        mask_set = MaskSet(speakers, ("speaker_1", "speaker_2"))
+        mask_set = MaskSet(speakers, 2)
         residual = mask_set.noise_mask()
         np.testing.assert_allclose(
             residual, np.clip(1.0 - speakers.sum(axis=0), 0.0, 1.0), atol=1e-15
@@ -197,7 +206,7 @@ class TestSeparateMasking:
         wf = MultichannelWaveform(x, FS)
         frames = CFG.num_frames(4000)
         ones = np.ones((1, frames, CFG.num_bins))
-        mask_set = MaskSet(ones, ("speaker_1",))
+        mask_set = MaskSet(ones, 1)
         (out,) = separate_masking(wf, mask_set, CFG, ref_mic=0)
         assert np.abs(out.samples[0] - x).max() < 1e-10
 
@@ -205,7 +214,7 @@ class TestSeparateMasking:
         x = speech_like(rng, 4000)
         frames = CFG.num_frames(4000)
         masks = np.stack([np.ones((frames, CFG.num_bins)), np.zeros((frames, CFG.num_bins))])
-        mask_set = MaskSet(masks, ("speaker_1", "speaker_2"))
+        mask_set = MaskSet(masks, 2)
         outs = separate_masking(MultichannelWaveform(x, FS), mask_set, CFG, 0)
         assert np.all(outs[1].samples == 0.0)
 
@@ -239,14 +248,14 @@ class TestSeparateMasking:
         mask_set = oracle_mask_from_waveforms(scene.mixture, images, "psm", CFG, 5)
         mixture = full_array_reference(scene.mixture, 5)
         outs = separate_masking(scene.mixture, mask_set, CFG, 5)
-        for k, out in zip(mask_set.speaker_indices, outs):
-            expected = istft(apply_mask(mask_set.stream(k), mixture))
+        for mask, out in zip(mask_set.speakers, outs):
+            expected = istft(apply_mask(mask, mixture))
             assert np.array_equal(out.samples, expected.samples)
 
     def test_config_mismatch(self, rng):
         x = speech_like(rng, 4000)
         frames = CFG.num_frames(4000)
-        mask_set = MaskSet(np.ones((1, frames + 3, CFG.num_bins)), ("speaker_1",))
+        mask_set = MaskSet(np.ones((1, frames + 3, CFG.num_bins)), 1)
         with pytest.raises(InputError):
             separate_masking(MultichannelWaveform(x, FS), mask_set, CFG, 0)
 
@@ -254,10 +263,10 @@ class TestSeparateMasking:
 class TestTensorFormat:
     def test_mask_round_trip(self, rng, tmp_path):
         masks = rng.uniform(0, 1, (3, 10, 257))
-        mask_set = MaskSet(masks, ("speaker_1", "speaker_2", "noise"))
+        mask_set = MaskSet(masks, 2)
         path = tmp_path / "masks.tns"
         mask_set.save(path)
-        loaded = MaskSet.load(path, labels=mask_set.labels)
+        loaded = MaskSet.load(path, 2)
         np.testing.assert_allclose(loaded.masks, masks.astype(np.float32), atol=1e-7)
 
     def test_bad_magic(self, tmp_path):
@@ -322,4 +331,4 @@ class TestTensorFormat:
         masks = np.ones((2, 3, 4))
         masks[1, 2, 3] = np.nan
         with pytest.raises(InputError):
-            MaskSet(masks, ("speaker_1", "noise"))
+            MaskSet(masks, 1)

@@ -55,10 +55,6 @@ class TestSiSdr:
         with pytest.raises(InputError):
             si_sdr(rng.standard_normal(100), rng.standard_normal(99))
 
-    def test_custom_cap(self, rng):
-        x = rng.standard_normal(100)
-        assert si_sdr(x, x, MetricConfig(cap_db=40.0)) == 40.0
-
 
 class TestCiSdr:
     def test_delayed_scaled_reference_at_cap(self, rng):
