@@ -27,9 +27,11 @@ from .metrics import (
     Assignment,
     LossWeights,
     MetricConfig,
+    align_scores,
     ci_sdr,
     evaluate_separation,
     pit_assign,
+    score_matrix,
     si_sdr,
     waveform_spectral_l1,
 )

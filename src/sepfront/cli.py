@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, audio_io, beamform, masks, metrics, simulate
 from .dsp import StftConfig, stft  # noqa: F401  (perfbench traces the cli.stft binding)
@@ -124,7 +125,8 @@ MANIFEST_SCHEMA = {
 # JSON names of the types a schema entry lists
 _JSON_NAMES = {dict: "object", type(None): "null", float: "finite float"}
 
-# thread-count functions of the OpenBLAS in numpy's wheel, newest naming first
+# thread-count functions of the OpenBLAS copies bundled in numpy's and
+# scipy's wheels, newest naming first
 OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -276,19 +278,22 @@ def _scene_dirs(output_dir, scene_ids=None):
     return sorted(d for d in scenes_root.iterdir() if d.is_dir())
 
 
-def _numpy_openblas():
-    """(get, set) thread-count functions of the OpenBLAS bundled with numpy's
-    wheel, or None when numpy ships none (a build against another BLAS)."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*.so*")):
-        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
+def _bundled_openblas():
+    """[(get, set)] thread-count functions of each OpenBLAS bundled in
+    numpy's and scipy's wheels; a wheel built against another BLAS adds none."""
+    found = []
+    for wheel in (np, scipy):
+        libs = Path(wheel.__file__).parent.parent / f"{wheel.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            lib = ctypes.CDLL(str(path))  # the copy the wheel already loaded
+            for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+                get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    found.append((get, set_))
+                    break
+    return found
 
 
 @contextlib.contextmanager
@@ -297,23 +302,25 @@ def _scene_pool(jobs):
 
     With jobs > 1 every map of more than one item goes through one process
     pool, started at the first such map and shut down when the block ends.
-    Before its workers fork, numpy's OpenBLAS is capped at an even share of
-    the usable CPUs, so jobs workers do not each run a full set of BLAS
-    threads on the same cores. The forked workers inherit the cap (setting it
-    inside a fresh worker instead starts an idle, spinning BLAS thread); the
-    parent's own count is restored once the pool has shut down.
+    Before its workers fork, every bundled OpenBLAS (numpy's for matmuls and
+    solves, scipy's for CI-SDR's Cholesky) is capped at an even share of the
+    usable CPUs, so jobs workers do not each run full sets of BLAS threads on
+    the same cores. The forked workers inherit the caps (setting one inside a
+    fresh worker instead starts an idle, spinning BLAS thread); the parent's
+    own counts are restored once the pool has shut down.
     """
-    pool = blas = previous = None
+    pool = None
+    restore = []  # (set, the parent's count) of each capped copy
 
     def scene_map(fn, items):
-        nonlocal pool, blas, previous
+        nonlocal pool
         if jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if pool is None:
-            blas = _numpy_openblas()
-            if blas is not None:
-                previous = blas[0]()
-                blas[1](max(1, len(os.sched_getaffinity(0)) // jobs))
+            share = max(1, len(os.sched_getaffinity(0)) // jobs)
+            for get, set_ in _bundled_openblas():
+                restore.append((set_, get()))
+                set_(share)
             pool = ProcessPoolExecutor(max_workers=jobs)
         return list(pool.map(fn, items))
 
@@ -322,8 +329,8 @@ def _scene_pool(jobs):
     finally:
         if pool is not None:
             pool.shutdown()
-        if previous is not None:
-            blas[1](previous)
+        for set_, previous in restore:
+            set_(previous)
 
 
 def _map_scenes(fn, items, jobs, scene_map):
@@ -383,15 +390,23 @@ def _scene_record(scene_dir):
 def load_scene_masks(scene_dir, config, stft_config, mixture=None):
     """Oracle masks at the scene's reference mic, or imported masks.
 
-    Oracle masks read the scene's mixture.wav unless the caller passes the
-    mixture it has read. An imported tensor holds one stream per source and
-    at most one noise stream after them.
+    Both read the scene's mixture.wav unless the caller passes the mixture it
+    has read. An imported tensor holds one stream per source and at most one
+    noise stream after them, each on the mixture's STFT grid.
     """
     sep = config["separator"]
     ref_mic, num_sources = _scene_record(scene_dir)
+    if mixture is None:
+        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     if sep["mask_import_dir"]:
-        return masks.MaskSet.load(Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns",
-                                  num_sources)
+        path = Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns"
+        mask_set = masks.MaskSet.load(path, num_sources)
+        grid = (stft_config.num_frames(mixture.num_samples), stft_config.num_bins)
+        if mask_set.masks.shape[1:] != grid:
+            raise InputError(f"{path}: scene {scene_dir.name!r}: mask grid "
+                             f"{mask_set.masks.shape[1:]} does not match the mixture's "
+                             f"STFT grid {grid}")
+        return mask_set
 
     images = []
     for k in range(1, num_sources + 1):
@@ -402,8 +417,6 @@ def load_scene_masks(scene_dir, config, stft_config, mixture=None):
             )
         images.append(audio_io.read_wav(path))
     images.append(audio_io.read_wav(scene_dir / "noise.wav"))
-    if mixture is None:
-        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     return masks.oracle_mask_from_waveforms(
         mixture, images, sep["mask_oracle_kind"], stft_config, ref_mic
     )
@@ -506,14 +519,15 @@ def _evaluate_one(arg):
             f"{scene_dir.name}: {len(estimates)} estimates vs {len(references)} references"
         )
 
-    metric_fn = metrics.METRIC_FUNCTIONS[metric_name]
     mixture_ref = audio_io.read_wav(scene_dir / "mixture.wav").channel(ref_mic)
-    input_db = [float(metric_fn(mixture_ref, ref, metric_config)) for ref in references]
-    result = metrics.evaluate_separation(estimates, references, metric_name, metric_config)
+    # row 0 scores the unprocessed mixture, the rest PIT-align the estimates
+    scores = metrics.score_matrix([mixture_ref, *estimates], references, metric_name,
+                                  metric_config)
+    result = metrics.align_scores(scores[1:])
     return {
         "scene_id": scene_dir.name,
         "metric": metric_name,
-        "input_db": input_db,
+        "input_db": scores[0].tolist(),
         "output_db": result["per_speaker_db"],
         "mean_output_db": result["mean_db"],
         "assignment": list(result["assignment"].permutation),

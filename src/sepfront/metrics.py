@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linear_sum_assignment
 
 from .dsp import MultichannelWaveform, stft
@@ -22,7 +22,8 @@ from .errors import ConfigurationError, InputError
 # rectangular-assignment solver
 EXHAUSTIVE_LIMIT = 6
 
-# ridge added to the diagonal of the CI-SDR Gram matrix
+# ridge added to the diagonal of the CI-SDR Gram matrix, relative to the
+# reference's energy, so a score does not depend on either signal's scale
 FIR_RIDGE = 1e-12
 
 # SI-SDR and CI-SDR scores are clipped to +/- CAP_DB
@@ -100,52 +101,87 @@ def si_sdr(estimate, reference, config=MetricConfig()):
     return _ratio_db(float(np.dot(target, target)), float(np.sum((target - est) ** 2)))
 
 
+# the CI-SDR system of the last reference fitted: (taps, a copy of the
+# reference, FFT length, the reference's spectrum, the Cholesky factor of its
+# ridged Gram matrix); a scene scores every estimate against one reference
+# before it moves to the next, so each reference's system is built once
+_last_system = None
+
+
+def _fir_system(reference, taps):
+    """(FFT length, spectrum, Cholesky factor) of the least-squares system
+    that fits a taps-long FIR of reference to an estimate.
+
+    The reference's autocorrelation at lags 0..taps-1 comes from a real FFT
+    of length at least L + taps - 1, so no lag wraps around, rounded up to a
+    length with only small prime factors, because a transform of a length
+    with a large prime factor (64 511 for 4 s and 512 taps) is ~20x slower.
+    Column i of the system is the reference delayed by i and truncated at L,
+    so entry (i, i+d) of its Gram matrix is r[d] minus what the truncation
+    loses, sum over p < i of rev[p]*rev[p+d] with rev the reversed
+    reference: a cumulative sum down the rows of a (taps, taps+1) buffer
+    whose row i, column d lies at gram[i, i+d] once the buffer is read with
+    a row length of taps. Only that upper triangle is filled, which is all
+    the factorization reads. The ridge is FIR_RIDGE times the reference's
+    energy. The last reference's system is kept and reused while the next
+    call's reference and taps are equal to it.
+    """
+    global _last_system
+    last = _last_system
+    if last is not None and last[0] == taps and np.array_equal(last[1], reference):
+        return last[2:]
+    energy = np.sum(reference * reference)
+    if energy == 0.0:
+        raise InputError("reference signal is all-zero")
+    L = len(reference)
+    n = next_fast_len(L + taps - 1, real=True)
+    spectrum = np.fft.rfft(reference, n)
+    r = np.fft.irfft(spectrum * np.conj(spectrum), n)[:taps]
+    rev = np.zeros(2 * taps)
+    rev[:taps] = reference[::-1][:taps]
+    skewed = np.empty((taps, taps + 1))
+    skewed[0] = 0.0
+    np.multiply(rev[:taps - 1, None], sliding_window_view(rev, taps + 1)[:taps - 1],
+                out=skewed[1:])
+    np.cumsum(skewed, axis=0, out=skewed)
+    np.subtract(np.append(r, 0.0), skewed, out=skewed)
+    gram = skewed.reshape(-1)[:taps * taps].reshape(taps, taps)
+    gram.flat[::taps + 1] += FIR_RIDGE * energy
+    # the transpose is Fortran-ordered, so LAPACK factors it in place; its
+    # lower triangle is gram's upper one
+    factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+    _last_system = (taps, reference.copy(), n, spectrum, factor)
+    return n, spectrum, factor
+
+
 def _fir_fit(estimate, reference, taps):
     """conv(reference, h)[:L] for the least-squares FIR h minimizing
     ||estimate - conv(reference, h)[:L]||.
 
-    The reference's autocorrelation and its cross-correlation with the
-    estimate, at lags 0..taps-1, come from one batched real FFT. Its length
-    is at least L + taps - 1, so no lag wraps around, and is rounded up to a
-    length with only small prime factors, because a transform of a length
-    with a large prime factor (64 511 for 4 s and 512 taps) is ~20x slower.
-    The Gram matrix of the shifted reference columns is the autocorrelation
-    Toeplitz matrix minus the exact correction for the truncation at L, one
-    matmul of the reference's last taps samples; the system is solved
-    directly with a ridge of FIR_RIDGE on the diagonal. The fit reuses the
-    reference's spectrum.
+    The cross-correlation of the estimate with the reference at lags
+    0..taps-1 and the fit both reuse the reference's spectrum.
     """
-    L = len(reference)
-    n = next_fast_len(L + taps - 1, real=True)
-    spectra = np.fft.rfft(np.stack([reference, estimate]), n)
-    r, cross = np.fft.irfft(spectra * np.conj(spectra[0]), n)[:, :taps]
-    # column i is truncated at L, losing the last i reference samples;
-    # entry (i, j) of the exact Gram loses sum_p ref[L-i+p]*ref[L-j+p] over
-    # p < min(i, j): row i of lost is the window of padded at taps - i
-    padded = np.concatenate([reference[L - taps:], np.zeros(taps)])
-    lost = sliding_window_view(padded, taps)[:0:-1]
-    gram = toeplitz(r) - lost @ lost.T
-    gram[np.diag_indices(taps)] += FIR_RIDGE
-
-    h = np.linalg.solve(gram, cross)
-    return np.fft.irfft(spectra[0] * np.fft.rfft(h, n), n)[:L]
+    n, spectrum, factor = _fir_system(reference, taps)
+    cross = np.fft.irfft(np.fft.rfft(estimate, n) * np.conj(spectrum), n)[:taps]
+    h = cho_solve(factor, cross, check_finite=False)
+    return np.fft.irfft(spectrum * np.fft.rfft(h, n), n)[:len(reference)]
 
 
 def ci_sdr(estimate, reference, config=MetricConfig()):
     """Convolutive-transfer-function-invariant SDR in dB, capped at +/- CAP_DB.
 
     Fits a length-ci_sdr_taps FIR of the reference to the estimate in the
-    least-squares sense and scores the residual.
+    least-squares sense and scores the residual. Its LAPACK calls are
+    scipy's, and it makes no numpy BLAS call, so it keeps one BLAS thread
+    pool busy, not two.
     """
     est, ref = _as_pair(estimate, reference)
     if len(ref) < config.ci_sdr_taps:
         raise InputError(
             f"signals of length {len(ref)} shorter than the {config.ci_sdr_taps}-tap filter"
         )
-    if float(np.dot(ref, ref)) == 0.0:
-        raise InputError("reference signal is all-zero")
     fitted = _fir_fit(est, ref, config.ci_sdr_taps)
-    return _ratio_db(float(np.dot(fitted, fitted)), float(np.sum((est - fitted) ** 2)))
+    return _ratio_db(float(np.sum(fitted * fitted)), float(np.sum((est - fitted) ** 2)))
 
 
 def waveform_spectral_l1(estimate, reference, stft_config, weights=LossWeights()):
@@ -190,32 +226,44 @@ def pit_assign(cost_matrix):
 METRIC_FUNCTIONS = {"si_sdr": si_sdr, "ci_sdr": ci_sdr}
 
 
-def evaluate_separation(estimates, references, metric="si_sdr", config=MetricConfig()):
-    """PIT-aligned per-speaker scores.
+def score_matrix(estimates, references, metric="si_sdr", config=MetricConfig()):
+    """(E, R) matrix of metric(estimates[i], references[j], config) in dB.
 
-    Builds the K x K metric matrix, solves the assignment on negated dB, and
-    returns the aligned scores.
+    It is filled one reference at a time, so CI-SDR builds each reference's
+    system once for all the estimates scored against it.
+    """
+    if metric not in METRIC_FUNCTIONS:
+        raise InputError(f"unknown metric: {metric!r}")
+    metric_fn = METRIC_FUNCTIONS[metric]
+    scores = np.empty((len(estimates), len(references)), dtype=np.float64)
+    for j, reference in enumerate(references):
+        for i, estimate in enumerate(estimates):
+            scores[i, j] = metric_fn(estimate, reference, config)
+    return scores
+
+
+def align_scores(scores):
+    """PIT alignment of a K x K dB matrix: the assignment solved on negated
+    scores, and the aligned scores.
 
     Returns:
         dict with "assignment" (Assignment), "per_speaker_db" (list, indexed
         by estimate stream), and "mean_db".
     """
-    if metric not in METRIC_FUNCTIONS:
-        raise InputError(f"unknown metric: {metric!r}")
-    if len(estimates) != len(references):
-        raise InputError(
-            f"{len(estimates)} estimates vs {len(references)} references"
-        )
-    metric_fn = METRIC_FUNCTIONS[metric]
-    k = len(estimates)
-    scores = np.empty((k, k), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            scores[i, j] = metric_fn(estimates[i], references[j], config)
+    scores = np.asarray(scores, dtype=np.float64)
     assignment = pit_assign(-scores)
-    per_speaker = [float(scores[i, assignment.permutation[i]]) for i in range(k)]
+    per_speaker = [float(scores[i, j]) for i, j in enumerate(assignment.permutation)]
     return {
         "assignment": assignment,
         "per_speaker_db": per_speaker,
         "mean_db": float(np.mean(per_speaker)),
     }
+
+
+def evaluate_separation(estimates, references, metric="si_sdr", config=MetricConfig()):
+    """PIT-aligned per-speaker scores: align_scores of the K x K score_matrix."""
+    if len(estimates) != len(references):
+        raise InputError(
+            f"{len(estimates)} estimates vs {len(references)} references"
+        )
+    return align_scores(score_matrix(estimates, references, metric, config))

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pilot_suite
 from conftest import speech_like
-from sepfront import audio_io, beamform, cli
+from sepfront import audio_io, beamform, cli, metrics
 from sepfront.beamform import separate_mvdr
 from sepfront.dsp import StftConfig
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
@@ -580,6 +581,24 @@ class TestSeparate:
         assert f"{path}: {streams} mask streams for 2 speakers" in capsys.readouterr().err
         assert not list(scene_dir.glob("est_*.wav"))
 
+    @pytest.mark.parametrize("method", cli.SEPARATION_METHODS)
+    def test_mask_file_grid_exit_code(self, method, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        config = base_config(manifest, tmp_path / "out",
+                             separator={"method": method, "mask_import_dir": str(mask_dir)})
+        cli.cmd_simulate(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
+        frames = StftConfig(512, 128).num_frames(mixture.num_samples)
+        path = mask_dir / "scene_0000.tns"
+        MaskSet(np.full((2, 100, 257), 0.5), 2).save(path)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+        assert (f"{path}: scene 'scene_0000': mask grid (100, 257) does not match the "
+                f"mixture's STFT grid ({frames}, 257)") in capsys.readouterr().err
+        assert not list(scene_dir.glob("est_*.wav"))
+
     def test_stale_estimates_are_not_scored(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)
         config = base_config(manifest, tmp_path / "out")
@@ -650,6 +669,22 @@ class TestEvaluate:
         write_estimates(scene_dir, [audio_io.read_wav(scene_dir / "source_1.wav").samples[0]])
         with pytest.raises(cli.InputError, match="1 estimates vs 2 references"):
             cli.cmd_evaluate(config)
+
+    @pytest.mark.parametrize("metric", sorted(metrics.METRIC_FUNCTIONS))
+    def test_input_db_is_the_mixture_metric(self, metric, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1, reference_mic=1)
+        config = base_config(manifest, tmp_path / "out", metric={"name": metric,
+                                                                 "ci_sdr_taps": 64})
+        record = cli.run(config)["records"][0]
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        mixture_ref = audio_io.read_wav(scene_dir / "mixture.wav").channel(1)
+        references = [audio_io.read_wav(scene_dir / f"source_{k}.wav").channel(1)
+                      for k in (1, 2)]
+        metric_config = metrics.MetricConfig(ci_sdr_taps=64)
+        assert record["input_db"] == [
+            metrics.METRIC_FUNCTIONS[metric](mixture_ref, ref, metric_config)
+            for ref in references
+        ]
 
     def test_unlisted_estimate_is_not_scored(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -739,8 +774,8 @@ class TestRunAll:
 
 
 def _pool_blas_threads(_):
-    """The OpenBLAS thread count of the process that runs this task."""
-    return cli._numpy_openblas()[0]()
+    """The thread count of every bundled OpenBLAS in the process that runs this task."""
+    return [get() for get, _ in cli._bundled_openblas()]
 
 
 @pytest.fixture
@@ -759,13 +794,24 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def openblas():
-    """numpy's OpenBLAS (get, set); its thread count is put back after the test."""
-    blas = cli._numpy_openblas()
-    if blas is None:
-        pytest.skip("numpy ships no OpenBLAS")
-    before = blas[0]()
-    yield blas
-    blas[1](before)
+    """(get, set) of every bundled OpenBLAS; their thread counts are put back
+    after the test."""
+    copies = cli._bundled_openblas()
+    if not copies:
+        pytest.skip("neither numpy nor scipy ships an OpenBLAS")
+    before = [get() for get, _ in copies]
+    yield copies
+    for (_, set_), count in zip(copies, before):
+        set_(count)
+
+
+def set_threads(copies, count):
+    for _, set_ in copies:
+        set_(count)
+
+
+def threads(copies):
+    return [get() for get, _ in copies]
 
 
 def worker_share(jobs):
@@ -789,12 +835,13 @@ class TestScenePool:
 
     def test_workers_get_an_even_share_of_the_cpus(self, openblas):
         jobs = 2
-        openblas[1](worker_share(jobs) + 1)  # the parent's count differs from the share
+        share = [worker_share(jobs)] * len(openblas)
+        set_threads(openblas, worker_share(jobs) + 1)  # the parent's count is not the share
         with cli._scene_pool(jobs) as scene_map:
             seen = scene_map(_pool_blas_threads, range(4))
-            assert openblas[0]() == worker_share(jobs)
-        assert seen == [worker_share(jobs)] * 4
-        assert openblas[0]() == worker_share(jobs) + 1
+            assert threads(openblas) == share
+        assert seen == [share] * 4
+        assert threads(openblas) == [worker_share(jobs) + 1] * len(openblas)
 
     @pytest.mark.parametrize("bad_scene", [False, True], ids=["ok", "stage-raises"])
     def test_parent_blas_threads_restored(self, bad_scene, openblas, pools, tmp_path, capsys):
@@ -804,49 +851,55 @@ class TestScenePool:
             content["scenes"][2]["reference_mic"] = 9
             manifest.write_text(json.dumps(content))
         parent = worker_share(2) + 1
-        openblas[1](parent)
+        set_threads(openblas, parent)
         config = base_config(manifest, tmp_path / "out", jobs=2)
         expected = cli.EXIT_INPUT if bad_scene else cli.EXIT_OK
         assert run_main(tmp_path, config, "run-all") == expected
         assert pools == [2]
-        assert openblas[0]() == parent
+        assert threads(openblas) == [parent] * len(openblas)
         if bad_scene:
             assert "'scene_0002'" in capsys.readouterr().err
 
     def test_runs_without_openblas(self, monkeypatch, pools, tmp_path):
-        monkeypatch.setattr(cli, "_numpy_openblas", lambda: None)
+        monkeypatch.setattr(cli, "_bundled_openblas", lambda: [])
         manifest = write_manifest(tmp_path, num_scenes=3)
         config = base_config(manifest, tmp_path / "out", jobs=2)
         assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
         assert pools == [2]
         assert len((tmp_path / "out" / "report.jsonl").read_text().splitlines()) == 3
 
-    def test_numpy_openblas_is_found(self):
-        """A numpy wheel with a bundled OpenBLAS must expose its thread
-        functions under a name the locator knows, or --jobs loses its cap."""
-        libs = Path(np.__file__).parent.parent / "numpy.libs"
-        if not list(libs.glob("*openblas*")):
-            pytest.skip("numpy ships no bundled OpenBLAS")
-        blas = cli._numpy_openblas()
-        assert blas is not None
-        assert blas[0]() >= 1
+    def test_bundled_openblas_copies_are_found(self):
+        """Each OpenBLAS bundled in numpy's or scipy's wheel must expose its
+        thread functions under a name the locator knows, or --jobs loses its
+        cap on that copy."""
+        bundled = [path for wheel in (np, scipy)
+                   for path in (Path(wheel.__file__).parent.parent / f"{wheel.__name__}.libs")
+                   .glob("*openblas*.so*")]
+        if not bundled:
+            pytest.skip("neither numpy nor scipy ships a bundled OpenBLAS")
+        copies = cli._bundled_openblas()
+        assert len(copies) == len(bundled)
+        assert all(count >= 1 for count in threads(copies))
 
     def test_jobs_give_identical_outputs_on_pilot_scenes(self, tmp_path):
         manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=2)
-        outputs, reports = {}, {}
-        for jobs in (1, 2):
-            out_dir = tmp_path / f"jobs{jobs}"
-            reports[jobs] = cli.run(base_config(manifest, out_dir, jobs=jobs))["records"]
-            outputs[jobs] = {
-                p.relative_to(out_dir): p.read_bytes()
-                for pattern in ("scenes/*/est_*.wav", "scenes/*/flags.json")
-                for p in sorted(out_dir.glob(pattern))
-            }
-        assert len(outputs[1]) == 2 * 3
-        assert outputs[1] == outputs[2]
-        # scores are sums whose BLAS reduction order follows the thread
-        # count, so they may differ in the last bits
-        for serial, parallel in zip(reports[1], reports[2]):
-            assert serial["scene_id"] == parallel["scene_id"]
-            for key in ("input_db", "output_db"):
-                assert np.allclose(serial[key], parallel[key], rtol=0.0, atol=1e-12)
+        for method, metric in (("mvdr", "si_sdr"), ("masking", "ci_sdr")):
+            outputs, reports = {}, {}
+            for jobs in (1, 2):
+                out_dir = tmp_path / f"{method}-jobs{jobs}"
+                config = base_config(manifest, out_dir, jobs=jobs,
+                                     separator={"method": method}, metric={"name": metric})
+                reports[jobs] = cli.run(config)["records"]
+                outputs[jobs] = {
+                    p.relative_to(out_dir): p.read_bytes()
+                    for pattern in ("scenes/*/est_*.wav", "scenes/*/flags.json")
+                    for p in sorted(out_dir.glob(pattern))
+                }
+            assert len(outputs[1]) == 2 * 3
+            assert outputs[1] == outputs[2]
+            # scores are sums and factorizations whose BLAS reduction order
+            # follows the thread count, so they may differ in the last bits
+            for serial, parallel in zip(reports[1], reports[2]):
+                assert serial["scene_id"] == parallel["scene_id"]
+                for key in ("input_db", "output_db"):
+                    assert np.allclose(serial[key], parallel[key], rtol=0.0, atol=1e-12)

@@ -6,14 +6,17 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import speech_like
+from sepfront import metrics
 from sepfront.dsp import MultichannelWaveform, StftConfig, stft
 from sepfront.errors import InputError
 from sepfront.metrics import (
+    METRIC_FUNCTIONS,
     LossWeights,
     MetricConfig,
     ci_sdr,
     evaluate_separation,
     pit_assign,
+    score_matrix,
     si_sdr,
     waveform_spectral_l1,
 )
@@ -95,6 +98,10 @@ class TestCiSdr:
         with pytest.raises(InputError):
             ci_sdr(rng.standard_normal(100), rng.standard_normal(100), MetricConfig(ci_sdr_taps=512))
 
+    def test_zero_reference_rejected(self, rng):
+        with pytest.raises(InputError, match="all-zero"):
+            ci_sdr(rng.standard_normal(100), np.zeros(100), MetricConfig(ci_sdr_taps=8))
+
 
 def _fir_fit_loop(estimate, reference, taps):
     """The CI-SDR fit as a loop over taps: dot-product correlations, a
@@ -107,7 +114,7 @@ def _fir_fit_loop(estimate, reference, taps):
     for i in range(1, taps):
         tail[:i, i] = reference[L - i:]
     gram = gram - tail.T @ tail
-    gram[np.diag_indices(taps)] += 1e-12
+    gram[np.diag_indices(taps)] += 1e-12 * np.dot(reference, reference)
     cross = np.array([np.dot(estimate[i:], reference[: L - i]) for i in range(taps)])
     h = np.linalg.solve(gram, cross)
     return np.convolve(reference, h)[:L]
@@ -123,8 +130,8 @@ def ci_sdr_loop(estimate, reference, taps, cap_db=100.0):
 def fir_cases(draw):
     """(estimate, reference, taps) with whole-number samples in [-100, 100].
 
-    Exact zeros are common; a reference that is not all-zero has energy of
-    at least 1, so the fixed 1e-12 ridge moves a score by under 1e-11 dB.
+    Exact zeros are common, so references whose Gram matrix is singular
+    without the ridge are too.
     """
     n = draw(st.integers(16, 2000))
     samples = arrays(np.int64, n, elements=st.integers(-100, 100))
@@ -192,6 +199,63 @@ class TestCiSdrKernel:
         assert score >= si_sdr(est, ref) - 1e-9
         if taps == 1:
             assert abs(score - si_sdr(est, ref)) <= 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), taps=st.sampled_from([1, 16, 512]),
+           scale=st.sampled_from([1e-6, 1e6]), scaled=st.booleans())
+    def test_scale_free(self, seed, taps, scale, scaled):
+        rng = np.random.default_rng(seed)
+        ref = speech_like(rng, 8000)
+        room = rng.standard_normal(32) * np.exp(-np.arange(32) / 8.0)
+        est = np.convolve(ref, room)[:8000] + 0.3 * speech_like(rng, 8000)
+        config = MetricConfig(ci_sdr_taps=taps)
+        score = ci_sdr(est, ref, config)
+        if scaled:
+            moved = ci_sdr(est, scale * ref, config)
+        else:
+            moved = ci_sdr(scale * est, ref, config)
+        assert abs(moved - score) <= 1e-9
+
+
+def cold_ci_sdr(estimate, reference, config, monkeypatch):
+    """ci_sdr with no reference system kept from an earlier call."""
+    monkeypatch.setattr(metrics, "_last_system", None)
+    return ci_sdr(estimate, reference, config)
+
+
+class TestCiSdrSystemReuse:
+    """Each reference's system is built once and reused only for that reference."""
+
+    CONFIG = MetricConfig(ci_sdr_taps=64)
+
+    def pairs(self, rng):
+        refs = [speech_like(rng, 4000) for _ in range(2)]
+        ests = [r[::-1] + 0.5 * speech_like(rng, 4000) for r in refs] + [refs[0] + refs[1]]
+        return ests, refs
+
+    def test_warm_interleaved_scores_equal_cold_ones(self, rng, monkeypatch):
+        ests, refs = self.pairs(rng)
+        cold = [[cold_ci_sdr(e, r, self.CONFIG, monkeypatch) for r in refs] for e in ests]
+        # every other call keeps the last call's reference, the rest change it
+        for i, j in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (0, 0), (0, 1), (1, 1)]:
+            assert ci_sdr(ests[i], refs[j], self.CONFIG) == cold[i][j]
+        assert score_matrix(ests, refs, "ci_sdr", self.CONFIG).tolist() == cold
+
+    def test_reference_mutated_in_place_is_not_served_stale(self, rng, monkeypatch):
+        ests, refs = self.pairs(rng)
+        ref = refs[0].copy()
+        before = ci_sdr(ests[0], ref, self.CONFIG)
+        ref[2000] += 1.0
+        after = ci_sdr(ests[0], ref, self.CONFIG)
+        assert after != before
+        assert after == cold_ci_sdr(ests[0], ref, self.CONFIG, monkeypatch)
+
+    def test_other_taps_are_not_served_stale(self, rng, monkeypatch):
+        ests, refs = self.pairs(rng)
+        ci_sdr(ests[0], refs[0], self.CONFIG)
+        config = MetricConfig(ci_sdr_taps=8)
+        assert ci_sdr(ests[0], refs[0], config) == cold_ci_sdr(
+            ests[0], refs[0], config, monkeypatch)
 
 
 class TestWaveformSpectralL1:
@@ -274,6 +338,24 @@ class TestPitAssign:
             pit_assign([[1.0, 2.0]])
         with pytest.raises(InputError):
             pit_assign([[np.nan, 1.0], [1.0, 0.0]])
+
+
+class TestScoreMatrix:
+    @pytest.mark.parametrize("metric", sorted(METRIC_FUNCTIONS))
+    def test_entries_are_the_pair_metric(self, metric, rng):
+        refs = [speech_like(rng, 1500) for _ in range(2)]
+        ests = [refs[1] + 0.2 * rng.standard_normal(1500), refs[0] + refs[1],
+                0.3 * refs[0] + rng.standard_normal(1500)]
+        config = MetricConfig(ci_sdr_taps=32)
+        scores = score_matrix(ests, refs, metric, config)
+        assert scores.shape == (3, 2)
+        for i, est in enumerate(ests):
+            for j, ref in enumerate(refs):
+                assert scores[i, j] == METRIC_FUNCTIONS[metric](est, ref, config)
+
+    def test_unknown_metric(self, rng):
+        with pytest.raises(InputError, match="unknown metric: 'sdr'"):
+            score_matrix([rng.standard_normal(10)], [rng.standard_normal(10)], "sdr")
 
 
 class TestEvaluateSeparation:
