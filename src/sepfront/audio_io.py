@@ -25,7 +25,10 @@ def read_wav(path):
         samples /= 32768.0
     elif data.dtype == np.int32:
         samples /= 2147483648.0
-    return MultichannelWaveform(samples, int(rate))
+    try:
+        return MultichannelWaveform(samples, int(rate))
+    except InputError as exc:  # a NaN or Inf sample
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_wav(path, waveform, fmt="float32"):

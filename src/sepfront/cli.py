@@ -8,9 +8,11 @@ configs produce identical outputs apart from the timing fields.
 
 import argparse
 import contextlib
+import copy
 import ctypes
 import json
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -122,6 +124,13 @@ MANIFEST_SCHEMA = {
     }),
 }
 
+# the outputs flags.json lists: distinct estimate files in the scene's own
+# directory (list.count compares items of any JSON type)
+_OUTPUTS = _Key(
+    list, rule=((lambda names: all(names.count(n) == 1 for n in names)), "without repeats"),
+    items=_Key(str, rule=((lambda name: re.fullmatch(r"est_[1-9][0-9]*\.wav", name) is not None),
+                          "an est_<k>.wav name")))
+
 # JSON names of the types a schema entry lists
 _JSON_NAMES = {dict: "object", type(None): "null", float: "finite float"}
 
@@ -141,7 +150,7 @@ def load_config(path=None, overrides=None):
     The merged config is checked against CONFIG_SCHEMA and the STFT and metric
     configs are built, so a bad key or value fails here, before any stage runs.
     """
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    config = copy.deepcopy(DEFAULT_CONFIG)
     where = "config" if path is None else f"config file {path}"
     user = {} if path is None else _read_json(path, "config file", ConfigurationError)
     for key, value in user.items():
@@ -377,13 +386,11 @@ def _simulate_one(arg):
     echo["id"] = scene["id"]
     with open(scene_dir / "scene.json", "w", encoding="utf-8") as f:
         json.dump(echo, f, indent=2, sort_keys=True)
-    return scene["id"]
 
 
 def _scene_record(scene_dir):
     """(reference_mic, number of sources) from a simulated scene's scene.json."""
-    with open(scene_dir / "scene.json", "r", encoding="utf-8") as f:
-        record = json.load(f)
+    record = _read_json(scene_dir / "scene.json", "scene file", InputError)
     return int(record["reference_mic"]), len(record["sources"])
 
 
@@ -429,7 +436,6 @@ def cmd_separate(config, scene_ids=None, scene_map=None):
     stft_config = _stft_config(config)
     args = [(d, config, stft_config) for d in scene_dirs]
     _map_scenes(_separate_one, args, config["jobs"], scene_map)
-    return [d.name for d in scene_dirs]
 
 
 def _separate_one(arg):
@@ -456,7 +462,6 @@ def _separate_one(arg):
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
         json.dump({"method": method, "outputs": outputs, "per_speaker": flags}, f,
                   indent=2, sort_keys=True)
-    return scene_dir.name
 
 
 def cmd_evaluate(config, scene_ids=None, scene_map=None):
@@ -501,14 +506,9 @@ def _evaluate_one(arg):
     ref_mic, num_sources = _scene_record(scene_dir)
 
     flags_path = scene_dir / "flags.json"
-    try:
-        with open(flags_path, "r", encoding="utf-8") as f:
-            flags = json.load(f)
-        outputs = flags["outputs"]
-    except FileNotFoundError as exc:
-        raise InputError(f"{flags_path} not found; run separate first") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InputError(f"{flags_path} does not list the scene's outputs") from exc
+    flags = _read_json(flags_path, "flags file", InputError)
+    outputs = flags.get("outputs")
+    _check(outputs, _OUTPUTS, "outputs", f"flags file {flags_path}", InputError)
 
     references = []
     for k in range(1, num_sources + 1):

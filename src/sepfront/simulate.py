@@ -120,10 +120,6 @@ class SceneOutput:
     noise_image: MultichannelWaveform
     manifest: dict = field(default_factory=dict)
 
-    @property
-    def num_sources(self):
-        return len(self.source_images)
-
 
 def fractional_delay(signal, delay):
     """Delay a single-channel signal by a real number of samples.
@@ -216,12 +212,11 @@ def render_scene(spec):
             }
         )
 
-    noise_image = _render_noise(spec, source_images, num_mics, length)
-
-    mixture = np.zeros((num_mics, length), dtype=np.float64)
+    speech = np.zeros((num_mics, length), dtype=np.float64)
     for image in source_images:
-        mixture = mixture + image.samples
-    mixture = mixture + noise_image.samples
+        speech = speech + image.samples
+    noise_image = _render_noise(spec, speech)
+    mixture = speech + noise_image.samples
 
     manifest = {
         "sample_rate": fs,
@@ -242,14 +237,13 @@ def render_scene(spec):
     )
 
 
-def _render_noise(spec, source_images, num_mics, length):
+def _render_noise(spec, speech):
+    """The noise image, scaled against the summed source images speech."""
+    num_mics, length = speech.shape
     if spec.noise is None:
         return MultichannelWaveform(np.zeros((num_mics, length)), spec.sample_rate)
 
-    summed = np.zeros(length, dtype=np.float64)
-    for image in source_images:
-        summed = summed + image.samples[spec.reference_mic]
-    signal_power = float(np.mean(summed ** 2))
+    signal_power = float(np.mean(speech[spec.reference_mic] ** 2))
     if signal_power == 0.0:
         raise InputError("cannot set SNR against zero-power source images")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.io import wavfile
 
 import pilot_suite
 from conftest import speech_like
@@ -72,6 +73,24 @@ def write_estimates(scene_dir, signals):
         audio_io.write_wav(scene_dir / name, audio_io.MultichannelWaveform(signal, FS))
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
         json.dump({"outputs": outputs}, f)
+
+
+def recorded_reads(monkeypatch):
+    """The path of every audio_io.read_wav call made from here on."""
+    reads = []
+    read_wav = audio_io.read_wav
+
+    def recording_read_wav(path):
+        reads.append(path)
+        return read_wav(path)
+
+    monkeypatch.setattr(audio_io, "read_wav", recording_read_wav)
+    return reads
+
+
+def in_dir(path, directory):
+    """Whether path, with its '..' steps resolved, names a file in directory."""
+    return Path(os.path.normpath(path)).parent == directory
 
 
 def base_config(manifest, out_dir, **kwargs):
@@ -277,6 +296,43 @@ class TestSchemaProperties:
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INPUT)
         written = set(tmp_path.rglob("*")) - before
         assert all(p == out or out in p.parents for p in written)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_flags_mutation_exits_cleanly_reading_only_the_scene(self, data, tmp_path,
+                                                                     monkeypatch):
+        """One key of a 1-scene, 0.5 s run's flags.json set to any JSON value,
+        deleted, or added: evaluate exits 0 or 3 and reads no WAV outside the
+        scene's directory, though one lies where '../../../../x.wav' leads."""
+        out = tmp_path / "run" / "out"
+        scene_dir = out / "scenes" / "scene_0000"
+        if not out.exists():
+            cli.run(base_config(write_manifest(tmp_path / "in", num_scenes=1), out))
+            shutil.copy(scene_dir / "flags.json", tmp_path / "flags.json")
+            shutil.copy(scene_dir / "est_1.wav", tmp_path / "x.wav")
+        valid = json.loads((tmp_path / "flags.json").read_text())
+        paths = list(node_paths(valid))
+        objects = [p for p in [(), *paths] if isinstance(node_at(valid, p), dict)]
+        # outputs is the one key evaluate reads, so some edits set it, or
+        # one of its items, to file names
+        names = st.sampled_from(["../../../../x.wav", "mixture.wav", "est_1.wav", "est_2.wav",
+                                 "est_3.wav"])
+        value = json_values(st.integers())
+        action, path, new = data.draw(st.one_of(
+            st.tuples(st.just("set"), st.sampled_from([p for p in paths if p[0] == "outputs"]),
+                      names | st.lists(names, max_size=3)),
+            st.tuples(st.just("set"), st.sampled_from(paths), value),
+            st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+            st.tuples(st.just("add"), st.sampled_from(objects),
+                      st.tuples(st.text(max_size=4), value)),
+        ))
+        (scene_dir / "flags.json").write_text(json.dumps(mutate(valid, action, path, new)))
+        with monkeypatch.context() as patch:
+            reads = recorded_reads(patch)
+            code = cli.main(["--command", "evaluate", "--output-dir", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
+        assert all(in_dir(p, scene_dir) for p in reads)
 
 
 class TestAudioIo:
@@ -614,16 +670,10 @@ class TestSeparate:
         manifest = write_manifest(tmp_path, num_scenes=1)
         config = base_config(manifest, tmp_path / "out", command="simulate")
         cli.run(config)
-        reads = []
-        read_wav = audio_io.read_wav
-
-        def counting_read_wav(path):
-            reads.append(Path(path).name)
-            return read_wav(path)
-
-        monkeypatch.setattr(audio_io, "read_wav", counting_read_wav)
+        reads = recorded_reads(monkeypatch)
         cli.cmd_separate(config)
-        assert sorted(reads) == ["mixture.wav", "noise.wav", "source_1.wav", "source_2.wav"]
+        assert sorted(Path(p).name for p in reads) == [
+            "mixture.wav", "noise.wav", "source_1.wav", "source_2.wav"]
 
     def test_missing_references_for_oracle_masks(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -707,6 +757,63 @@ class TestEvaluate:
         missing.unlink()
         assert run_main(tmp_path, config, "evaluate") == cli.EXIT_INPUT
         assert str(missing) in capsys.readouterr().err
+
+
+def set_outputs(outputs):
+    """An edit that lists outputs in a scene's flags.json."""
+    def edit(scene_dir):
+        path = scene_dir / "flags.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "outputs": outputs}))
+        return path
+    return edit
+
+
+def replace_text(name, text):
+    """An edit that replaces the scene file name with text."""
+    def edit(scene_dir):
+        (scene_dir / name).write_text(text)
+        return scene_dir / name
+    return edit
+
+
+def nan_sample(scene_dir):
+    """An edit that puts a NaN into the float32 est_1.wav."""
+    path = scene_dir / "est_1.wav"
+    rate, data = wavfile.read(path)
+    data = data.copy()
+    data[len(data) // 2] = np.nan
+    wavfile.write(path, rate, data)
+    return path
+
+
+class TestSceneFiles:
+    @pytest.mark.parametrize("edit, command", [
+        (set_outputs(5), "evaluate"),
+        (set_outputs(["../../../../x.wav", "est_2.wav"]), "evaluate"),
+        (set_outputs(["mixture.wav"]), "evaluate"),
+        (set_outputs(["mixture.wav", "est_2.wav"]), "evaluate"),
+        (set_outputs(["est_1.wav", "est_1.wav"]), "evaluate"),
+        (replace_text("flags.json", '{"outputs": '), "evaluate"),
+        (replace_text("scene.json", '{"reference_mic": '), "separate"),
+        (replace_text("scene.json", "[0]"), "evaluate"),
+        (nan_sample, "evaluate"),
+    ], ids=["outputs-5", "outputs-outside-scene", "outputs-mixture",
+            "outputs-mixture-and-est", "outputs-repeated", "flags-not-json", "scene-not-json",
+            "scene-not-an-object", "est-nan"])
+    def test_edited_scene_file_exit_code(self, edit, command, tmp_path, monkeypatch, capsys):
+        """After a 1-scene run-all, one edited scene file makes the next stage
+        exit 3 naming that file, with no WAV outside the scene read."""
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "run" / "out")
+        cli.run(config)
+        scene_dir = tmp_path / "run" / "out" / "scenes" / "scene_0000"
+        # a valid WAV where '../../../../x.wav' leads from the scene directory
+        shutil.copy(scene_dir / "est_1.wav", tmp_path / "x.wav")
+        edited = edit(scene_dir)
+        reads = recorded_reads(monkeypatch)
+        assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
+        assert str(edited) in capsys.readouterr().err
+        assert all(in_dir(p, scene_dir) for p in reads)
 
 
 class TestRunAll:
