@@ -12,7 +12,6 @@ import copy
 import ctypes
 import json
 import os
-import re
 import sys
 import time
 from collections import Counter
@@ -123,13 +122,6 @@ MANIFEST_SCHEMA = {
                 "path": _Key(str)}),
     }),
 }
-
-# the outputs flags.json lists: distinct estimate files in the scene's own
-# directory (list.count compares items of any JSON type)
-_OUTPUTS = _Key(
-    list, rule=((lambda names: all(names.count(n) == 1 for n in names)), "without repeats"),
-    items=_Key(str, rule=((lambda name: re.fullmatch(r"est_[1-9][0-9]*\.wav", name) is not None),
-                          "an est_<k>.wav name")))
 
 # JSON names of the types a schema entry lists
 _JSON_NAMES = {dict: "object", type(None): "null", float: "finite float"}
@@ -415,14 +407,7 @@ def load_scene_masks(scene_dir, config, stft_config, mixture=None):
                              f"STFT grid {grid}")
         return mask_set
 
-    images = []
-    for k in range(1, num_sources + 1):
-        path = scene_dir / f"source_{k}.wav"
-        if not path.exists():
-            raise ConfigurationError(
-                f"oracle masks requested but reference {path} is missing"
-            )
-        images.append(audio_io.read_wav(path))
+    images = [audio_io.read_wav(scene_dir / f"source_{k}.wav") for k in range(1, num_sources + 1)]
     images.append(audio_io.read_wav(scene_dir / "noise.wav"))
     return masks.oracle_mask_from_waveforms(
         mixture, images, sep["mask_oracle_kind"], stft_config, ref_mic
@@ -452,8 +437,8 @@ def _separate_one(arg):
         flags = [{} for _ in estimates]
 
     fmt = config["wav_format"]
-    # evaluate scores only the outputs flags.json lists; no est_*.wav of an
-    # earlier run is left to look like one
+    # flags.json records the outputs, evaluate scores est_1..est_K; no
+    # est_*.wav of an earlier run is left beside them
     for stale in scene_dir.glob("est_*.wav"):
         stale.unlink()
     outputs = [f"est_{k}.wav" for k in range(1, len(estimates) + 1)]
@@ -505,19 +490,12 @@ def _evaluate_one(arg):
     started = time.monotonic()
     ref_mic, num_sources = _scene_record(scene_dir)
 
-    flags_path = scene_dir / "flags.json"
-    flags = _read_json(flags_path, "flags file", InputError)
-    outputs = flags.get("outputs")
-    _check(outputs, _OUTPUTS, "outputs", f"flags file {flags_path}", InputError)
-
-    references = []
-    for k in range(1, num_sources + 1):
-        references.append(audio_io.read_wav(scene_dir / f"source_{k}.wav").channel(ref_mic))
-    estimates = [audio_io.read_wav(scene_dir / name).channel(0) for name in outputs]
-    if len(estimates) != len(references):
-        raise InputError(
-            f"{scene_dir.name}: {len(estimates)} estimates vs {len(references)} references"
-        )
+    # reported as written; the scene's layout, not its outputs, names the estimates
+    flags = _read_json(scene_dir / "flags.json", "flags file", InputError)
+    sources = range(1, num_sources + 1)
+    references = [audio_io.read_wav(scene_dir / f"source_{k}.wav").channel(ref_mic)
+                  for k in sources]
+    estimates = [audio_io.read_wav(scene_dir / f"est_{k}.wav").channel(0) for k in sources]
 
     mixture_ref = audio_io.read_wav(scene_dir / "mixture.wav").channel(ref_mic)
     # row 0 scores the unprocessed mixture, the rest PIT-align the estimates
