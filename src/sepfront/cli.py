@@ -64,6 +64,7 @@ def _one_of(choices):
 
 _AT_LEAST_0 = (lambda value: value >= 0), ">= 0"
 _ABOVE_0 = (lambda value: value > 0), "> 0"
+_NON_EMPTY = (lambda value: len(value) > 0), "non-empty"
 # load_config builds the STFT window, so an absurd size fails here, not in
 # the allocation; a null fft_size means the window length
 _STFT_SIZE = (lambda value: value is None or value <= 1 << 16), "<= 65536"
@@ -88,7 +89,7 @@ CONFIG_SCHEMA = {
 
 # the array geometry of a manifest, or of a scene that overrides it
 _GEOMETRY = {
-    "mic_positions": _Key(list, required=True, rule=((lambda rows: len(rows) > 0), "non-empty"),
+    "mic_positions": _Key(list, required=True, rule=_NON_EMPTY,
                           items=_Key(list, rule=((lambda row: len(row) == 3), "an [x, y, z] list"),
                                      items=_Key(int, float))),
     "speed_of_sound": _Key(int, float, rule=_ABOVE_0),
@@ -121,6 +122,21 @@ MANIFEST_SCHEMA = {
                                rule=((lambda db: abs(db) <= 300), "within +-300 dB")),
                 "path": _Key(str)}),
     }),
+}
+
+# every key of the scene.json that simulate writes beside a scene's WAVs; the
+# keys a later stage reads are required
+SCENE_SCHEMA = {
+    "id": _Key(str),
+    "seed": _Key(int, rule=_AT_LEAST_0),
+    "sample_rate": _Key(int, required=True, rule=_ABOVE_0),
+    "reference_mic": _Key(int, required=True, rule=_AT_LEAST_0),
+    **_GEOMETRY,
+    "sources": _Key(list, required=True, rule=_NON_EMPTY, items={
+        "azimuth": _Key(int, float), "elevation": _Key(int, float), "gain": _Key(int, float),
+        "delays_s": _Key(list, items=_Key(int, float))}),
+    "noise": _Key(dict, type(None), keys={
+        "kind": _Key(str, rule=_one_of(simulate.NOISE_KINDS)), "snr_db": _Key(int, float)}),
 }
 
 # JSON names of the types a schema entry lists
@@ -380,23 +396,45 @@ def _simulate_one(arg):
         json.dump(echo, f, indent=2, sort_keys=True)
 
 
-def _scene_record(scene_dir):
-    """(reference_mic, number of sources) from a simulated scene's scene.json."""
-    record = _read_json(scene_dir / "scene.json", "scene file", InputError)
-    return int(record["reference_mic"]), len(record["sources"])
+def _open_scene(scene_dir):
+    """(scene.json, mixture.wav) of a simulated scene, each read once and
+    checked: the record against SCENE_SCHEMA with its reference_mic one of
+    its mics, the mixture at the record's rate with one channel per mic."""
+    path = scene_dir / "scene.json"
+    record = _read_json(path, "scene file", InputError)
+    _check(record, SCENE_SCHEMA, "", f"scene file {path}", InputError)
+    num_mics = len(record["mic_positions"])
+    if record["reference_mic"] >= num_mics:
+        raise InputError(f"scene file {path}: 'reference_mic' must be below the scene's "
+                         f"{num_mics} mics, got {record['reference_mic']}")
+    return record, _scene_wav(scene_dir / "mixture.wav", record["sample_rate"], num_mics)
 
 
-def load_scene_masks(scene_dir, config, stft_config, mixture=None):
-    """Oracle masks at the scene's reference mic, or imported masks.
+def _scene_wav(path, sample_rate, channels, length=None):
+    """The WAV file at path, which must hold channels x length samples (any
+    length when length is None) at sample_rate."""
+    wav = audio_io.read_wav(path)
+    found = (wav.num_channels, wav.num_samples, wav.sample_rate)
+    wanted = (channels, wav.num_samples if length is None else length, sample_rate)
+    if found != wanted:
+        raise InputError("{}: {} channels x {} samples at {} Hz, where the scene has "
+                         "{} x {} at {} Hz".format(path, *found, *wanted))
+    return wav
 
-    Both read the scene's mixture.wav unless the caller passes the mixture it
-    has read. An imported tensor holds one stream per source and at most one
-    noise stream after them, each on the mixture's STFT grid.
-    """
+
+def load_scene_masks(scene_dir, config, stft_config):
+    """Oracle masks at a simulated scene's reference mic, or imported masks."""
+    record, mixture = _open_scene(scene_dir)
+    return _scene_masks(scene_dir, config, stft_config, record["reference_mic"],
+                        len(record["sources"]), mixture)
+
+
+def _scene_masks(scene_dir, config, stft_config, ref_mic, num_sources, mixture):
+    """The scene's masks for its mixture. An imported tensor holds one stream
+    per source and at most one noise stream after them, each on the mixture's
+    STFT grid; oracle masks come from the source images and the noise image,
+    each the mixture's shape and rate."""
     sep = config["separator"]
-    ref_mic, num_sources = _scene_record(scene_dir)
-    if mixture is None:
-        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
     if sep["mask_import_dir"]:
         path = Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns"
         mask_set = masks.MaskSet.load(path, num_sources)
@@ -407,8 +445,9 @@ def load_scene_masks(scene_dir, config, stft_config, mixture=None):
                              f"STFT grid {grid}")
         return mask_set
 
-    images = [audio_io.read_wav(scene_dir / f"source_{k}.wav") for k in range(1, num_sources + 1)]
-    images.append(audio_io.read_wav(scene_dir / "noise.wav"))
+    names = [*(f"source_{k}.wav" for k in range(1, num_sources + 1)), "noise.wav"]
+    images = [_scene_wav(scene_dir / name, mixture.sample_rate, *mixture.samples.shape)
+              for name in names]
     return masks.oracle_mask_from_waveforms(
         mixture, images, sep["mask_oracle_kind"], stft_config, ref_mic
     )
@@ -425,10 +464,11 @@ def cmd_separate(config, scene_ids=None, scene_map=None):
 
 def _separate_one(arg):
     scene_dir, config, stft_config = arg
-    ref_mic, _ = _scene_record(scene_dir)
+    record, mixture = _open_scene(scene_dir)
+    ref_mic = record["reference_mic"]
     method = config["separator"]["method"]
-    mixture = audio_io.read_wav(scene_dir / "mixture.wav")
-    mask_set = load_scene_masks(scene_dir, config, stft_config, mixture)
+    mask_set = _scene_masks(scene_dir, config, stft_config, ref_mic, len(record["sources"]),
+                            mixture)
 
     if method == "mvdr":
         estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
@@ -488,16 +528,18 @@ def cmd_evaluate(config, scene_ids=None, scene_map=None):
 def _evaluate_one(arg):
     scene_dir, config, metric_name, metric_config = arg
     started = time.monotonic()
-    ref_mic, num_sources = _scene_record(scene_dir)
+    record, mixture = _open_scene(scene_dir)
+    ref_mic = record["reference_mic"]
 
     # reported as written; the scene's layout, not its outputs, names the estimates
     flags = _read_json(scene_dir / "flags.json", "flags file", InputError)
-    sources = range(1, num_sources + 1)
-    references = [audio_io.read_wav(scene_dir / f"source_{k}.wav").channel(ref_mic)
-                  for k in sources]
-    estimates = [audio_io.read_wav(scene_dir / f"est_{k}.wav").channel(0) for k in sources]
+    sources = range(1, len(record["sources"]) + 1)
+    references = [_scene_wav(scene_dir / f"source_{k}.wav", mixture.sample_rate,
+                             *mixture.samples.shape).channel(ref_mic) for k in sources]
+    estimates = [_scene_wav(scene_dir / f"est_{k}.wav", mixture.sample_rate, 1,
+                            mixture.num_samples).channel(0) for k in sources]
 
-    mixture_ref = audio_io.read_wav(scene_dir / "mixture.wav").channel(ref_mic)
+    mixture_ref = mixture.channel(ref_mic)
     # row 0 scores the unprocessed mixture, the rest PIT-align the estimates
     scores = metrics.score_matrix([mixture_ref, *estimates], references, metric_name,
                                   metric_config)

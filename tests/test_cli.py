@@ -303,19 +303,22 @@ class TestSchemaProperties:
     def test_any_flags_mutation_exits_cleanly_reading_only_the_scene(self, data, tmp_path,
                                                                      monkeypatch):
         """One key of a 1-scene, 0.5 s run's flags.json set to any JSON value,
-        deleted, or added: evaluate exits 0 or 3 and reads no WAV outside the
-        scene's directory, though one lies where '../../../../x.wav' leads."""
+        deleted, or added: evaluate exits 0 with the run's scores and reads no
+        WAV outside the scene's directory, though one lies where
+        '../../../../x.wav' leads."""
         out = tmp_path / "run" / "out"
         scene_dir = out / "scenes" / "scene_0000"
         if not out.exists():
             cli.run(base_config(write_manifest(tmp_path / "in", num_scenes=1), out))
             shutil.copy(scene_dir / "flags.json", tmp_path / "flags.json")
+            shutil.copy(out / "report.jsonl", tmp_path / "report.jsonl")
             shutil.copy(scene_dir / "est_1.wav", tmp_path / "x.wav")
         valid = json.loads((tmp_path / "flags.json").read_text())
+        scored = json.loads((tmp_path / "report.jsonl").read_text())
         paths = list(node_paths(valid))
         objects = [p for p in [(), *paths] if isinstance(node_at(valid, p), dict)]
-        # outputs is the one key evaluate reads, so some edits set it, or
-        # one of its items, to file names
+        # some edits set outputs, or one of its items, to file names, which
+        # evaluate must not read
         names = st.sampled_from(["../../../../x.wav", "mixture.wav", "est_1.wav", "est_2.wav",
                                  "est_3.wav"])
         value = json_values(st.integers())
@@ -331,8 +334,59 @@ class TestSchemaProperties:
         with monkeypatch.context() as patch:
             reads = recorded_reads(patch)
             code = cli.main(["--command", "evaluate", "--output-dir", str(out)])
-        assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
+        assert code == cli.EXIT_OK
         assert all(in_dir(p, scene_dir) for p in reads)
+        record = json.loads((out / "report.jsonl").read_text())
+        assert [record[k] for k in ("input_db", "output_db", "assignment")] == [
+            scored[k] for k in ("input_db", "output_db", "assignment")]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_scene_mutation_exits_cleanly_naming_the_file(self, data, tmp_path, capsys):
+        """One mutation of a 1-scene, 0.5 s run: a key of scene.json set to
+        any JSON value, deleted or added, or a WAV cut to half its length,
+        short of a channel or at half its rate. evaluate, then separate, each
+        exit 0 or 3; an exit 3 names a file of the scene by its path, and so
+        the scene, and nothing is written outside output_dir."""
+        pristine, run = tmp_path / "pristine", tmp_path / "run"
+        if not pristine.exists():
+            cli.run(base_config(write_manifest(tmp_path / "in", num_scenes=1), pristine / "out"))
+        shutil.rmtree(run, ignore_errors=True)
+        shutil.copytree(pristine, run)
+        out = run / "out"
+        scene_dir = out / "scenes" / "scene_0000"
+        valid = json.loads((scene_dir / "scene.json").read_text())
+        paths = list(node_paths(valid))
+        objects = [p for p in [(), *paths] if isinstance(node_at(valid, p), dict)]
+        wavs = sorted(p.name for p in scene_dir.glob("*.wav"))
+        value = json_values(st.integers())
+        edit = data.draw(st.one_of(
+            # the keys a stage reads, set to numbers near their valid values
+            st.tuples(st.just("set"), st.sampled_from([("reference_mic",), ("sample_rate",)]),
+                      st.integers(-1, 5) | st.sampled_from([8000, 16000])),
+            st.tuples(st.just("set"), st.sampled_from(paths), value),
+            st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+            st.tuples(st.just("add"), st.sampled_from(objects),
+                      st.tuples(st.text(max_size=4), value)),
+            st.tuples(st.sampled_from(["half-length", "half-rate"]), st.sampled_from(wavs)),
+            # est_k.wav is mono, the others have a channel per mic
+            st.tuples(st.just("channel-dropped"),
+                      st.sampled_from([w for w in wavs if not w.startswith("est_")])),
+        ))
+        if edit[0] in WAV_CHANGES:
+            edit_wav(edit[1], WAV_CHANGES[edit[0]])(scene_dir)
+        else:
+            (scene_dir / "scene.json").write_text(json.dumps(mutate(valid, *edit)))
+        before = set(tmp_path.rglob("*"))
+        for command in ("evaluate", "separate"):
+            code = cli.main(["--command", command, "--output-dir", str(out)])
+            err = capsys.readouterr().err
+            assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
+            if code == cli.EXIT_INPUT:
+                assert re.search(re.escape(f"{scene_dir}{os.sep}") + r"\w+\.(json|wav)", err)
+        written = set(tmp_path.rglob("*")) - before
+        assert all(out in p.parents for p in written)
 
 
 class TestAudioIo:
@@ -760,13 +814,41 @@ class TestEvaluate:
         assert str(missing) in capsys.readouterr().err
 
 
-def set_outputs(outputs):
-    """An edit that lists outputs in a scene's flags.json."""
+def edit_json(name, change):
+    """An edit that applies change to the object in the scene's JSON file name."""
     def edit(scene_dir):
-        path = scene_dir / "flags.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "outputs": outputs}))
+        path = scene_dir / name
+        document = json.loads(path.read_text())
+        change(document)
+        path.write_text(json.dumps(document))
         return path
     return edit
+
+
+def edit_wav(name, change):
+    """An edit that rewrites the scene's WAV file name as change(rate, data)
+    returns it, data being samples x channels (one axis for a mono file)."""
+    def edit(scene_dir):
+        path = scene_dir / name
+        wavfile.write(path, *change(*wavfile.read(path)))
+        return path
+    return edit
+
+
+def remove(name):
+    """An edit that deletes the scene's file name."""
+    def edit(scene_dir):
+        (scene_dir / name).unlink()
+        return scene_dir / name
+    return edit
+
+
+# changes to a WAV's (rate, data) for edit_wav
+WAV_CHANGES = {
+    "half-length": lambda rate, data: (rate, data[: len(data) // 2]),
+    "channel-dropped": lambda rate, data: (rate, data[:, :-1]),
+    "half-rate": lambda rate, data: (rate // 2, data),
+}
 
 
 def replace_text(name, text):
@@ -793,10 +875,25 @@ class TestSceneFiles:
         (replace_text("scene.json", '{"reference_mic": '), "separate"),
         (replace_text("scene.json", "[0]"), "evaluate"),
         (nan_sample, "evaluate"),
-    ], ids=["flags-not-json", "scene-not-json", "scene-not-an-object", "est-nan"])
+        *((edit, command) for command in ("separate", "evaluate") for edit in [
+            edit_json("scene.json", lambda record: record.pop("reference_mic")),
+            edit_json("scene.json", lambda record: record.update(reference_mic=9)),
+            edit_json("scene.json", lambda record: record.update(sources="s")),
+            edit_wav("mixture.wav", lambda rate, data: (rate, data[:, :2])),
+            edit_wav("source_1.wav", WAV_CHANGES["half-length"]),
+            remove("source_1.wav"),
+        ]),
+        (edit_wav("noise.wav", WAV_CHANGES["half-rate"]), "separate"),
+        (edit_wav("est_2.wav", WAV_CHANGES["half-length"]), "evaluate"),
+    ], ids=["flags-not-json", "scene-not-json", "scene-not-an-object", "est-nan",
+            *(f"{case}-{command}" for command in ("separate", "evaluate") for case in [
+                "no-reference-mic", "reference-mic-9-of-4", "sources-mistyped",
+                "mixture-2-of-4-channels", "source-half-length", "source-missing"]),
+            "noise-half-rate", "est-half-length"])
     def test_edited_scene_file_exit_code(self, edit, command, tmp_path, monkeypatch, capsys):
         """After a 1-scene run-all, one edited scene file makes the next stage
-        exit 3 naming that file, with no WAV outside the scene read."""
+        exit 3 naming that file by its path, and so the scene, with no WAV
+        outside the scene read."""
         manifest = write_manifest(tmp_path, num_scenes=1)
         config = base_config(manifest, tmp_path / "run" / "out")
         cli.run(config)
@@ -818,8 +915,9 @@ class TestSceneFiles:
         scene_dir = tmp_path / "run" / "out" / "scenes" / "scene_0000"
         shutil.copy(scene_dir / "est_1.wav", tmp_path / "x.wav")
         for outputs in [5, ["../../../../x.wav", "est_2.wav"], ["mixture.wav"],
-                        ["est_2.wav", "est_1.wav"], ["est_1.wav", "est_1.wav"]]:
-            set_outputs(outputs)(scene_dir)
+                        ["mixture.wav", "est_2.wav"], ["est_1.wav", "est_1.wav"],
+                        ["est_2.wav", "est_1.wav"]]:
+            edit_json("flags.json", lambda flags: flags.update(outputs=outputs))(scene_dir)
             with monkeypatch.context() as patch:
                 reads = recorded_reads(patch)
                 assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
@@ -828,6 +926,23 @@ class TestSceneFiles:
             assert record["flags"]["outputs"] == outputs
             for key in ("input_db", "output_db", "assignment"):
                 assert record[key] == scored[key]
+
+    def test_scene_json_read_once_per_scene_per_stage(self, tmp_path, monkeypatch):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out", command="simulate")
+        cli.run(config)
+        scene_files = sorted((tmp_path / "out" / "scenes").glob("*/scene.json"))
+        read_json = cli._read_json
+        for stage in (cli.cmd_separate, cli.cmd_evaluate):
+            reads = []
+
+            def recording_read_json(path, *args):
+                reads.append(Path(path))
+                return read_json(path, *args)
+
+            monkeypatch.setattr(cli, "_read_json", recording_read_json)
+            stage(config)
+            assert sorted(p for p in reads if p.name == "scene.json") == scene_files
 
 
 class TestRunAll:
