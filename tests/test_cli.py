@@ -825,6 +825,11 @@ def edit_json(name, change):
     return edit
 
 
+def set_outputs(outputs):
+    """A change that lists outputs in a flags.json object."""
+    return lambda flags: flags.update(outputs=outputs)
+
+
 def edit_wav(name, change):
     """An edit that rewrites the scene's WAV file name as change(rate, data)
     returns it, data being samples x channels (one axis for a mono file)."""
@@ -870,12 +875,17 @@ def nan_sample(scene_dir):
 
 
 class TestSceneFiles:
-    @pytest.mark.parametrize("edit, command", [
-        (replace_text("flags.json", '{"outputs": '), "evaluate"),
-        (replace_text("scene.json", '{"reference_mic": '), "separate"),
-        (replace_text("scene.json", "[0]"), "evaluate"),
-        (nan_sample, "evaluate"),
-        *((edit, command) for command in ("separate", "evaluate") for edit in [
+    @pytest.mark.parametrize("edit, command, code", [
+        # flags.json's outputs records what separate wrote; evaluate does not read it
+        *((edit_json("flags.json", set_outputs(outputs)), "evaluate", cli.EXIT_OK)
+          for outputs in [5, ["../../../../x.wav", "est_2.wav"], ["mixture.wav"],
+                          ["mixture.wav", "est_2.wav"], ["est_1.wav", "est_1.wav"],
+                          ["est_2.wav", "est_1.wav"]]),
+        (replace_text("flags.json", '{"outputs": '), "evaluate", cli.EXIT_INPUT),
+        (replace_text("scene.json", '{"reference_mic": '), "separate", cli.EXIT_INPUT),
+        (replace_text("scene.json", "[0]"), "evaluate", cli.EXIT_INPUT),
+        (nan_sample, "evaluate", cli.EXIT_INPUT),
+        *((edit, command, cli.EXIT_INPUT) for command in ("separate", "evaluate") for edit in [
             edit_json("scene.json", lambda record: record.pop("reference_mic")),
             edit_json("scene.json", lambda record: record.update(reference_mic=9)),
             edit_json("scene.json", lambda record: record.update(sources="s")),
@@ -883,47 +893,36 @@ class TestSceneFiles:
             edit_wav("source_1.wav", WAV_CHANGES["half-length"]),
             remove("source_1.wav"),
         ]),
-        (edit_wav("noise.wav", WAV_CHANGES["half-rate"]), "separate"),
-        (edit_wav("est_2.wav", WAV_CHANGES["half-length"]), "evaluate"),
-    ], ids=["flags-not-json", "scene-not-json", "scene-not-an-object", "est-nan",
+        (edit_wav("noise.wav", WAV_CHANGES["half-rate"]), "separate", cli.EXIT_INPUT),
+        (edit_wav("est_2.wav", WAV_CHANGES["half-length"]), "evaluate", cli.EXIT_INPUT),
+    ], ids=["outputs-5", "outputs-outside-scene", "outputs-mixture",
+            "outputs-mixture-and-est", "outputs-repeated", "outputs-swapped",
+            "flags-not-json", "scene-not-json", "scene-not-an-object", "est-nan",
             *(f"{case}-{command}" for command in ("separate", "evaluate") for case in [
                 "no-reference-mic", "reference-mic-9-of-4", "sources-mistyped",
                 "mixture-2-of-4-channels", "source-half-length", "source-missing"]),
             "noise-half-rate", "est-half-length"])
-    def test_edited_scene_file_exit_code(self, edit, command, tmp_path, monkeypatch, capsys):
+    def test_edited_scene_file_exit_code(self, edit, command, code, tmp_path, monkeypatch,
+                                         capsys):
         """After a 1-scene run-all, one edited scene file makes the next stage
-        exit 3 naming that file by its path, and so the scene, with no WAV
-        outside the scene read."""
+        exit 3 naming that file by its path, and so the scene, or, for an edit
+        of flags.json's outputs, exit 0 with the unedited run's scores; no WAV
+        outside the scene is read."""
         manifest = write_manifest(tmp_path, num_scenes=1)
         config = base_config(manifest, tmp_path / "run" / "out")
-        cli.run(config)
+        scored = cli.run(config)["records"][0]
         scene_dir = tmp_path / "run" / "out" / "scenes" / "scene_0000"
         # a valid WAV where '../../../../x.wav' leads from the scene directory
         shutil.copy(scene_dir / "est_1.wav", tmp_path / "x.wav")
         edited = edit(scene_dir)
         reads = recorded_reads(monkeypatch)
-        assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
-        assert str(edited) in capsys.readouterr().err
+        assert run_main(tmp_path, config, command) == code
         assert all(in_dir(p, scene_dir) for p in reads)
-
-    def test_edited_outputs_are_not_read(self, tmp_path, monkeypatch):
-        """flags.json's outputs records what separate wrote: evaluate scores
-        est_1..est_K whatever it lists, and reads no WAV outside the scene."""
-        manifest = write_manifest(tmp_path, num_scenes=1)
-        config = base_config(manifest, tmp_path / "run" / "out")
-        scored = cli.run(config)["records"][0]
-        scene_dir = tmp_path / "run" / "out" / "scenes" / "scene_0000"
-        shutil.copy(scene_dir / "est_1.wav", tmp_path / "x.wav")
-        for outputs in [5, ["../../../../x.wav", "est_2.wav"], ["mixture.wav"],
-                        ["mixture.wav", "est_2.wav"], ["est_1.wav", "est_1.wav"],
-                        ["est_2.wav", "est_1.wav"]]:
-            edit_json("flags.json", lambda flags: flags.update(outputs=outputs))(scene_dir)
-            with monkeypatch.context() as patch:
-                reads = recorded_reads(patch)
-                assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
-            assert all(in_dir(p, scene_dir) for p in reads)
+        if code == cli.EXIT_INPUT:
+            assert str(edited) in capsys.readouterr().err
+        else:
             record = json.loads((scene_dir.parents[1] / "report.jsonl").read_text())
-            assert record["flags"]["outputs"] == outputs
+            assert record["flags"] == json.loads(edited.read_text())
             for key in ("input_db", "output_db", "assignment"):
                 assert record[key] == scored[key]
 
