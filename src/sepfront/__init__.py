@@ -42,7 +42,6 @@ from .simulate import (
     SceneSpec,
     SourceSpec,
     fractional_delay,
-    input_sdr,
     linear_array,
     plane_wave_delays,
     render_scene,

@@ -127,7 +127,6 @@ MANIFEST_SCHEMA = {
 # every key of the scene.json that simulate writes beside a scene's WAVs; the
 # keys a later stage reads are required
 SCENE_SCHEMA = {
-    "id": _Key(str),
     "seed": _Key(int, rule=_AT_LEAST_0),
     "sample_rate": _Key(int, required=True, rule=_ABOVE_0),
     "reference_mic": _Key(int, required=True, rule=_AT_LEAST_0),
@@ -253,11 +252,7 @@ def _scene_spec(scene, manifest, base_dir, global_seed):
     sample_rate = int(scene.get("sample_rate", manifest.get("sample_rate", 16000)))
     sources = []
     for src in scene["sources"]:
-        wav = audio_io.read_wav(base_dir / src["path"])
-        if wav.sample_rate != sample_rate:
-            raise InputError(
-                f"{src['path']}: sample rate {wav.sample_rate} != scene rate {sample_rate}"
-            )
+        wav = _scene_wav(base_dir / src["path"], sample_rate, 1)
         sources.append(
             simulate.SourceSpec(
                 dry_signal=wav.samples[0],
@@ -270,8 +265,8 @@ def _scene_spec(scene, manifest, base_dir, global_seed):
     if scene.get("noise"):
         entry = scene["noise"]
         noise_samples = None
-        if entry["kind"] == "file":
-            noise_samples = audio_io.read_wav(base_dir / entry["path"]).samples
+        if entry["kind"] == "file":  # render_scene rules on its channels and length
+            noise_samples = _scene_wav(base_dir / entry["path"], sample_rate).samples
         noise = simulate.NoiseSpec(
             snr_db=float(entry["snr_db"]), kind=entry["kind"], samples=noise_samples
         )
@@ -390,10 +385,20 @@ def _simulate_one(arg):
         audio_io.write_wav(scene_dir / "noise.wav", rendered.noise_image, fmt)
     except (ConfigurationError, InputError) as exc:
         raise InputError(f"scene manifest {manifest_path}: scene {scene['id']!r}: {exc}") from exc
-    echo = dict(rendered.manifest)
-    echo["id"] = scene["id"]
+    # the record that _open_scene checks against SCENE_SCHEMA
+    geometry, noise = spec.geometry, spec.noise
+    record = {
+        "sample_rate": spec.sample_rate, "reference_mic": spec.reference_mic,
+        "seed": spec.seed, "mic_positions": geometry.mic_positions.tolist(),
+        "speed_of_sound": geometry.speed_of_sound,
+        "sources": [{"azimuth": src.azimuth, "elevation": src.elevation, "gain": src.gain,
+                     "delays_s": simulate.plane_wave_delays(
+                         geometry, src.azimuth, src.elevation).tolist()}
+                    for src in spec.sources],
+        "noise": None if noise is None else {"kind": noise.kind, "snr_db": noise.snr_db},
+    }
     with open(scene_dir / "scene.json", "w", encoding="utf-8") as f:
-        json.dump(echo, f, indent=2, sort_keys=True)
+        json.dump(record, f, indent=2, sort_keys=True)
 
 
 def _open_scene(scene_dir):
@@ -410,12 +415,13 @@ def _open_scene(scene_dir):
     return record, _scene_wav(scene_dir / "mixture.wav", record["sample_rate"], num_mics)
 
 
-def _scene_wav(path, sample_rate, channels, length=None):
+def _scene_wav(path, sample_rate, channels=None, length=None):
     """The WAV file at path, which must hold channels x length samples (any
-    length when length is None) at sample_rate."""
+    count of either that is None) at sample_rate."""
     wav = audio_io.read_wav(path)
     found = (wav.num_channels, wav.num_samples, wav.sample_rate)
-    wanted = (channels, wav.num_samples if length is None else length, sample_rate)
+    wanted = (wav.num_channels if channels is None else channels,
+              wav.num_samples if length is None else length, sample_rate)
     if found != wanted:
         raise InputError("{}: {} channels x {} samples at {} Hz, where the scene has "
                          "{} x {} at {} Hz".format(path, *found, *wanted))
@@ -477,16 +483,14 @@ def _separate_one(arg):
         flags = [{} for _ in estimates]
 
     fmt = config["wav_format"]
-    # flags.json records the outputs, evaluate scores est_1..est_K; no
-    # est_*.wav of an earlier run is left beside them
+    # evaluate scores est_1..est_K; no est_*.wav of an earlier run is left
+    # beside them
     for stale in scene_dir.glob("est_*.wav"):
         stale.unlink()
-    outputs = [f"est_{k}.wav" for k in range(1, len(estimates) + 1)]
-    for name, est in zip(outputs, estimates):
-        audio_io.write_wav(scene_dir / name, est, fmt)
+    for k, est in enumerate(estimates, start=1):
+        audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
-        json.dump({"method": method, "outputs": outputs, "per_speaker": flags}, f,
-                  indent=2, sort_keys=True)
+        json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
 
 
 def cmd_evaluate(config, scene_ids=None, scene_map=None):
@@ -531,7 +535,7 @@ def _evaluate_one(arg):
     record, mixture = _open_scene(scene_dir)
     ref_mic = record["reference_mic"]
 
-    # reported as written; the scene's layout, not its outputs, names the estimates
+    # reported as written; the scene's layout names the estimates
     flags = _read_json(scene_dir / "flags.json", "flags file", InputError)
     sources = range(1, len(record["sources"]) + 1)
     references = [_scene_wav(scene_dir / f"source_{k}.wav", mixture.sample_rate,

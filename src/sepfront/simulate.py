@@ -6,7 +6,7 @@ The mixture always decomposes exactly into the returned source and noise
 images under the fixed summation order (sources in index order, then noise).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,12 +113,11 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class SceneOutput:
-    """Rendered scene: mixture, per-source images, noise image, manifest echo."""
+    """Rendered scene: mixture, per-source images, noise image."""
 
     mixture: MultichannelWaveform
     source_images: tuple
     noise_image: MultichannelWaveform
-    manifest: dict = field(default_factory=dict)
 
 
 def fractional_delay(signal, delay):
@@ -194,7 +193,6 @@ def render_scene(spec):
     length = max(len(s.dry_signal) for s in spec.sources)
 
     source_images = []
-    resolved = []
     for src in spec.sources:
         dry = np.zeros(length, dtype=np.float64)
         dry[: len(src.dry_signal)] = src.dry_signal
@@ -203,37 +201,16 @@ def render_scene(spec):
         for m in range(num_mics):
             image[m] = src.gain * fractional_delay(dry, delays[m] * fs)
         source_images.append(MultichannelWaveform(image, fs))
-        resolved.append(
-            {
-                "azimuth": float(src.azimuth),
-                "elevation": float(src.elevation),
-                "gain": float(src.gain),
-                "delays_s": [float(d) for d in delays],
-            }
-        )
 
     speech = np.zeros((num_mics, length), dtype=np.float64)
     for image in source_images:
         speech = speech + image.samples
     noise_image = _render_noise(spec, speech)
     mixture = speech + noise_image.samples
-
-    manifest = {
-        "sample_rate": fs,
-        "reference_mic": spec.reference_mic,
-        "seed": spec.seed,
-        "sources": resolved,
-        "noise": None
-        if spec.noise is None
-        else {"kind": spec.noise.kind, "snr_db": float(spec.noise.snr_db)},
-        "mic_positions": geometry.mic_positions.tolist(),
-        "speed_of_sound": geometry.speed_of_sound,
-    }
     return SceneOutput(
         mixture=MultichannelWaveform(mixture, fs),
         source_images=tuple(source_images),
         noise_image=noise_image,
-        manifest=manifest,
     )
 
 
@@ -267,17 +244,3 @@ def _render_noise(spec, speech):
         raise InputError("noise signal has zero power at the reference mic")
     scale = np.sqrt(signal_power / (noise_power * 10.0 ** (spec.noise.snr_db / 10.0)))
     return MultichannelWaveform(raw * scale, spec.sample_rate)
-
-
-def input_sdr(scene, metric_fn):
-    """Score the unprocessed mixture against each source image.
-
-    Evaluates metric_fn(mixture_ref_channel, image_ref_channel) per source at
-    the scene's reference microphone; returns a list of dB values.
-    """
-    ref = scene.manifest["reference_mic"]
-    mix = scene.mixture.channel(ref)
-    return [
-        float(metric_fn(mix, image.channel(ref)))
-        for image in scene.source_images
-    ]

@@ -12,16 +12,14 @@ import numpy as np
 from scipy.signal import lfilter
 
 from sepfront import (
-    MetricConfig,
     NoiseSpec,
     SceneSpec,
     SourceSpec,
     StftConfig,
-    evaluate_separation,
-    input_sdr,
+    align_scores,
     linear_array,
     render_scene,
-    si_sdr,
+    score_matrix,
 )
 from sepfront.beamform import separate_mvdr
 from sepfront.masks import oracle_mask_from_waveforms
@@ -30,6 +28,7 @@ NUM_SCENES = 100
 NUM_MICS = 8
 SAMPLE_RATE = 16000
 DURATION_S = 4.0
+REFERENCE_MIC = 0
 MIN_SEPARATION_DEG = 30.0
 
 PILOT_PATH = Path(__file__).parent / "data" / "pilot_mvdr.json"
@@ -62,30 +61,29 @@ def make_scene(index):
         geometry=linear_array(NUM_MICS, 0.04),
         sample_rate=SAMPLE_RATE,
         noise=NoiseSpec(snr_db=20.0),
-        reference_mic=0,
+        reference_mic=REFERENCE_MIC,
         seed=2000 + index,
     )
 
 
 def mvdr_scene_scores(scene, stft_config=StftConfig(512, 128)):
-    """(input_db, aligned output_db) per reference speaker for oracle-IRM MVDR."""
-    ref_mic = scene.manifest["reference_mic"]
+    """(input_db, aligned output_db) per reference speaker for oracle-IRM MVDR,
+    scored by the same two calls as the CLI's evaluate stage."""
     images = [*scene.source_images, scene.noise_image]
-    mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", stft_config, ref_mic)
-    estimates, _ = separate_mvdr(scene.mixture, mask_set, stft_config, ref_mic)
+    mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", stft_config,
+                                          REFERENCE_MIC)
+    estimates, _ = separate_mvdr(scene.mixture, mask_set, stft_config, REFERENCE_MIC)
 
-    inputs = input_sdr(scene, si_sdr)
-    result = evaluate_separation(
-        [e.samples[0] for e in estimates],
-        [im.samples[ref_mic] for im in scene.source_images],
-        metric="si_sdr",
-        config=MetricConfig(),
-    )
+    mixture_ref = scene.mixture.channel(REFERENCE_MIC)
+    references = [image.channel(REFERENCE_MIC) for image in scene.source_images]
+    # row 0 scores the unprocessed mixture, the rest PIT-align the estimates
+    scores = score_matrix([mixture_ref, *(e.channel(0) for e in estimates)], references)
+    result = align_scores(scores[1:])
     # align to reference index: estimate i was matched to reference perm[i]
-    outputs = [0.0] * len(inputs)
+    outputs = [0.0] * len(references)
     for i, j in enumerate(result["assignment"].permutation):
         outputs[j] = result["per_speaker_db"][i]
-    return inputs, outputs
+    return scores[0].tolist(), outputs
 
 
 def run_pilot():

@@ -13,7 +13,7 @@ from scipy.io import wavfile
 
 import pilot_suite
 from conftest import speech_like
-from sepfront import audio_io, beamform, cli, metrics
+from sepfront import audio_io, beamform, cli, metrics, simulate
 from sepfront.beamform import separate_mvdr
 from sepfront.dsp import StftConfig
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
@@ -67,12 +67,11 @@ def run_main(tmp_path, config, command):
 
 
 def write_estimates(scene_dir, signals):
-    """est_k.wav per signal and the flags.json that lists them, as separate writes."""
-    outputs = [f"est_{k}.wav" for k in range(1, len(signals) + 1)]
-    for name, signal in zip(outputs, signals):
-        audio_io.write_wav(scene_dir / name, audio_io.MultichannelWaveform(signal, FS))
+    """est_k.wav per signal and a flags.json, as masking separation writes them."""
+    for k, signal in enumerate(signals, start=1):
+        audio_io.write_wav(scene_dir / f"est_{k}.wav", audio_io.MultichannelWaveform(signal, FS))
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
-        json.dump({"outputs": outputs}, f)
+        json.dump({"method": "masking", "per_speaker": [{} for _ in signals]}, f)
 
 
 def recorded_reads(monkeypatch):
@@ -317,14 +316,14 @@ class TestSchemaProperties:
         scored = json.loads((tmp_path / "report.jsonl").read_text())
         paths = list(node_paths(valid))
         objects = [p for p in [(), *paths] if isinstance(node_at(valid, p), dict)]
-        # some edits set outputs, or one of its items, to file names, which
-        # evaluate must not read
+        # some edits add an outputs key that lists file names, which evaluate
+        # must not read
         names = st.sampled_from(["../../../../x.wav", "mixture.wav", "est_1.wav", "est_2.wav",
                                  "est_3.wav"])
         value = json_values(st.integers())
         action, path, new = data.draw(st.one_of(
-            st.tuples(st.just("set"), st.sampled_from([p for p in paths if p[0] == "outputs"]),
-                      names | st.lists(names, max_size=3)),
+            st.tuples(st.just("add"), st.just(()),
+                      st.tuples(st.just("outputs"), names | st.lists(names, max_size=3))),
             st.tuples(st.just("set"), st.sampled_from(paths), value),
             st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
             st.tuples(st.just("add"), st.sampled_from(objects),
@@ -431,6 +430,37 @@ class TestSimulate:
             total = total + audio_io.read_wav(scene_dir / "noise.wav").samples
             # float32 storage: decomposition holds to float32 rounding
             assert np.abs(total - mixture).max() < 1e-6
+
+    def test_scene_json_echoes_manifest_and_defaults(self, tmp_path):
+        """scene_0000 sets every value a scene may set; scene_0001 sets none it
+        may leave out, so it gets the defaults and a seed of --seed plus its
+        index."""
+        manifest = write_manifest(tmp_path, num_scenes=2, reference_mic=2)
+        content = json.loads(manifest.read_text())
+        content["scenes"][0]["sources"][1].update(elevation=0.25, gain=0.5)
+        scene = content["scenes"][1]
+        for key in ("seed", "reference_mic", "noise"):
+            del scene[key]
+        for src in scene["sources"]:
+            del src["elevation"], src["gain"]
+        manifest.write_text(json.dumps(content))
+        cli.cmd_simulate(base_config(manifest, tmp_path / "out", seed=7))
+
+        mic_positions = content["geometry"]["mic_positions"]
+        geometry = simulate.ArrayGeometry(np.asarray(mic_positions))
+        for index, scene in enumerate(content["scenes"]):
+            path = tmp_path / "out" / "scenes" / scene["id"] / "scene.json"
+            record = json.loads(path.read_text())
+            assert record.pop("sources") == [
+                {"azimuth": src["azimuth"], "elevation": src.get("elevation", 0.0),
+                 "gain": src.get("gain", 1.0),
+                 "delays_s": simulate.plane_wave_delays(
+                     geometry, src["azimuth"], src.get("elevation", 0.0)).tolist()}
+                for src in scene["sources"]]
+            assert record == {
+                "sample_rate": FS, "reference_mic": scene.get("reference_mic", 0),
+                "seed": scene.get("seed", 7 + index), "mic_positions": mic_positions,
+                "speed_of_sound": simulate.SPEED_OF_SOUND, "noise": scene.get("noise")}
 
     def test_manifest_scene_missing_key_exit_code(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=2)
@@ -554,14 +584,21 @@ class TestSimulate:
          {"noise": {"kind": "file", "path": "noise.wav", "snr_db": 10.0}},
          "noise recording shorter than the scene"),
         ("dry/s0_0.wav", np.full(FS // 4, 0.1), FS // 2, None,
-         f"sample rate {FS // 2} != scene rate {FS}"),
+         f"s0_0.wav: 1 channels x {FS // 4} samples at {FS // 2} Hz, "
+         f"where the scene has 1 x {FS // 4} at {FS} Hz"),
+        ("dry/s0_0.wav", np.full((2, FS // 2), 0.1), FS, None,
+         f"s0_0.wav: 2 channels x {FS // 2} samples at {FS} Hz, where the scene has 1 x"),
+        ("noise.wav", np.full(FS, 0.1), FS // 2,
+         {"noise": {"kind": "file", "path": "noise.wav", "snr_db": 10.0}},
+         f"noise.wav: 1 channels x {FS} samples at {FS // 2} Hz, "
+         f"where the scene has 1 x {FS} at {FS} Hz"),
         ("dry/s0_0.wav", np.zeros(FS // 2), FS, None, "zero-power source images"),
         (None, None, None, {"noise": {"kind": "file", "path": "dry", "snr_db": 10.0}},
          "Is a directory"),
         (None, None, None, {"sources": [{"path": "dry/s0_0.wav", "azimuth": 0.3, "gain": 1e40}]},
          "mixture.wav: samples beyond the float32 range"),
-    ], ids=["noise-too-short", "source-rate", "zero-power-sources", "noise-path-is-a-directory",
-            "gain-beyond-float32"])
+    ], ids=["noise-too-short", "source-rate", "source-stereo", "noise-half-rate",
+            "zero-power-sources", "noise-path-is-a-directory", "gain-beyond-float32"])
     def test_render_error_names_manifest_and_scene(self, wav, samples, rate, entry, fragment,
                                                    tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=1, num_sources=1)
@@ -632,18 +669,9 @@ class TestSeparate:
         cli.cmd_separate(config)
         with open(tmp_path / "out" / "scenes" / "scene_0000" / "flags.json") as f:
             flags = json.load(f)
+        assert sorted(flags) == ["method", "per_speaker"]
         assert flags["method"] == "mvdr"
         assert len(flags["per_speaker"]) == 2
-
-    def test_ref_mic_out_of_range_exit_code(self, tmp_path):
-        manifest = write_manifest(tmp_path, num_scenes=1)
-        config_path = tmp_path / "config.json"
-        with open(config_path, "w") as f:
-            json.dump(
-                {"command": "run-all", "scene_manifest": str(manifest),
-                 "output_dir": str(tmp_path / "out"), "ref_mic": 99}, f,
-            )
-        assert cli.main(["--config", str(config_path)]) == cli.EXIT_CONFIG
 
     def test_saved_oracle_masks_import_round_trip(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -892,6 +920,9 @@ class TestSceneFiles:
             edit_wav("mixture.wav", lambda rate, data: (rate, data[:, :2])),
             edit_wav("source_1.wav", WAV_CHANGES["half-length"]),
             remove("source_1.wav"),
+            # the directory names the scene; an id key is unknown
+            edit_json("scene.json", lambda record: record.update(id="scene_0001",
+                                                                 reference_mic="0")),
         ]),
         (edit_wav("noise.wav", WAV_CHANGES["half-rate"]), "separate", cli.EXIT_INPUT),
         (edit_wav("est_2.wav", WAV_CHANGES["half-length"]), "evaluate", cli.EXIT_INPUT),
@@ -900,14 +931,15 @@ class TestSceneFiles:
             "flags-not-json", "scene-not-json", "scene-not-an-object", "est-nan",
             *(f"{case}-{command}" for command in ("separate", "evaluate") for case in [
                 "no-reference-mic", "reference-mic-9-of-4", "sources-mistyped",
-                "mixture-2-of-4-channels", "source-half-length", "source-missing"]),
+                "mixture-2-of-4-channels", "source-half-length", "source-missing",
+                "id-of-another-scene"]),
             "noise-half-rate", "est-half-length"])
     def test_edited_scene_file_exit_code(self, edit, command, code, tmp_path, monkeypatch,
                                          capsys):
         """After a 1-scene run-all, one edited scene file makes the next stage
-        exit 3 naming that file by its path, and so the scene, or, for an edit
-        of flags.json's outputs, exit 0 with the unedited run's scores; no WAV
-        outside the scene is read."""
+        exit 3 naming that file by its path, and so the scene, and no other
+        scene, or, for an edit of flags.json's outputs, exit 0 with the
+        unedited run's scores; no WAV outside the scene is read."""
         manifest = write_manifest(tmp_path, num_scenes=1)
         config = base_config(manifest, tmp_path / "run" / "out")
         scored = cli.run(config)["records"][0]
@@ -919,7 +951,8 @@ class TestSceneFiles:
         assert run_main(tmp_path, config, command) == code
         assert all(in_dir(p, scene_dir) for p in reads)
         if code == cli.EXIT_INPUT:
-            assert str(edited) in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert str(edited) in err and "scene_0001" not in err
         else:
             record = json.loads((scene_dir.parents[1] / "report.jsonl").read_text())
             assert record["flags"] == json.loads(edited.read_text())
