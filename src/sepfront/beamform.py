@@ -6,14 +6,15 @@ of the inverted interference covariance with the target covariance, selected
 at the reference microphone. All per-frequency computations are independent.
 
 Both spectrogram kernels work on the frequency-major layout
-Spectrogram.freq_major, an (F, M, T) copy of the (M, T, F) bins built once
-per spectrogram. In it each frequency is one contiguous M x T matrix, so the
-covariance of a stream is batched matmuls (M x T by T x M per frequency) and
-the beamformer one batched (1 x M) by (M x T) product, both run by BLAS.
-The copy is shared by the three covariance calls and the beamformer calls of
-a separation, so the transpose is paid once. The covariance weights one
-block of frequencies at a time (_BLOCK_BYTES), so the weighted copy is read
-back from cache and never exists for the whole grid.
+Spectrogram.freq_major, the (F, M, T) arrangement of the (M, T, F) bins. In
+it each frequency is one contiguous M x T matrix, so the covariance of a
+stream is batched matmuls (M x T by T x M per frequency) and the beamformer
+one batched (1 x M) by (M x T) product, both run by BLAS. A multichannel
+dsp.stft writes its spectra in this layout, so no transpose is paid at all;
+a spectrogram built otherwise pays one copy, shared by every kernel call.
+The covariance weights one block of frequencies at a time (_BLOCK_BYTES),
+so the weighted copy is read back from cache and never exists for the whole
+grid.
 """
 
 from dataclasses import dataclass
@@ -57,7 +58,9 @@ def spatial_covariance(spec, mask):
     V[f] = sum_t mask[t,f] z[t,f] z[t,f]^H / sum_t mask[t,f]. Frequencies with
     zero mask mass yield the zero matrix and are flagged in zero_mass.
     """
-    mask = np.asarray(mask, dtype=np.float64)
+    # C order fixes the summation order of the mask mass, so the same values
+    # give the same bits whatever layout they are stored in
+    mask = np.ascontiguousarray(mask, dtype=np.float64)
     if mask.shape != spec.bins.shape[1:]:
         raise InputError(
             f"mask shape {mask.shape} does not match spectrogram grid "

@@ -144,12 +144,13 @@ class Spectrogram:
 
     @cached_property
     def freq_major(self):
-        """bins as a C-contiguous (F, M, T) copy, built on first use and kept.
+        """bins as a C-contiguous (F, M, T) array, taken on first use and kept.
 
         The spatial kernels run one small matmul per frequency; in this
         layout each frequency's M x T matrix is contiguous, so BLAS reads it
-        without striding, and every kernel call on the spectrogram shares one
-        copy.
+        without striding. For a multichannel stft output this is the array
+        that bins views, so no copy is made; other bins are copied once, and
+        every kernel call on the spectrogram shares the result.
         """
         return np.ascontiguousarray(self.bins.transpose(2, 0, 1))
 
@@ -169,6 +170,9 @@ def stft(waveform, config):
 
     Frame t covers samples [t*hop, t*hop + window_length) of the signal after
     window_length // 2 leading zeros; spectra are one-sided rfft of size fft_size.
+    A one-channel result's bins are C-contiguous (T, F) rows. A multichannel
+    result's bins are the (M, T, F) view of a C-contiguous (F, M, T) array,
+    which freq_major then returns without a copy.
     """
     x = waveform.samples
     if not np.all(np.isfinite(x)):
@@ -178,7 +182,17 @@ def stft(waveform, config):
     w = config.window_length
     x = np.pad(x, ((0, 0), (w // 2, w // 2 + w)))
     frames = sliding_window_view(x, w, axis=1)[:, : num_frames * config.hop: config.hop]
-    spectra = np.fft.rfft(frames * config.window(), n=config.fft_size, axis=2)
+    window = config.window()
+    if len(frames) == 1:
+        # masking and the iSTFT read one channel's (T, F) rows
+        spectra = np.fft.rfft(frames * window, n=config.fft_size, axis=2)
+    else:
+        # the spatial kernels read (F, M, T): writing it one channel at a time
+        # keeps the windowed frames to one channel's, and freq_major copies nothing
+        layout = np.empty((config.num_bins, len(frames), num_frames), dtype=np.complex128)
+        for m, channel_frames in enumerate(frames):
+            layout[:, m] = np.fft.rfft(channel_frames * window, n=config.fft_size, axis=1).T
+        spectra = layout.transpose(1, 2, 0)
     return Spectrogram(spectra, config, length, waveform.sample_rate)
 
 

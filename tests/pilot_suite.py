@@ -1,11 +1,19 @@
 """Seeded 100-scene pilot suite: 8-channel anechoic 2-speaker scenes.
 
-Running this module regenerates tests/data/pilot_mvdr.json, the committed
-record of the oracle-IRM MVDR pilot that the acceptance suite regression
-checks against.
+tests/data/pilot_mvdr.json is the committed record of the oracle-IRM MVDR
+pilot that the acceptance suite regression checks against. Running this
+module reruns the pilot and prints its statistics beside the record's,
+exiting 1 if any differs beyond the last digits; with --write it overwrites
+the record instead.
+
+    python3 tests/pilot_suite.py           # check against the record
+    python3 tests/pilot_suite.py --write   # regenerate the record
 """
 
+import argparse
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +145,13 @@ def write_cli_suite(base_dir, num_scenes=NUM_SCENES):
     return path
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Rerun the MVDR pilot and check it against tests/data/pilot_mvdr.json."
+    )
+    parser.add_argument("--write", action="store_true",
+                        help="overwrite the record with this run's statistics")
+    args = parser.parse_args(argv)
     improvements = run_pilot()
     record = {
         "num_scenes": NUM_SCENES,
@@ -146,12 +160,31 @@ def main():
         "min_improvement_db": float(improvements.min()),
         "fraction_improved": float(np.mean(improvements > 0.0)),
     }
-    PILOT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    with open(PILOT_PATH, "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(json.dumps(record, indent=2, sort_keys=True))
+    if args.write:
+        PILOT_PATH.parent.mkdir(parents=True, exist_ok=True)
+        with open(PILOT_PATH, "w", encoding="utf-8") as f:
+            json.dump(record, f, indent=2, sort_keys=True)
+            f.write("\n")
+        print(json.dumps(record, indent=2, sort_keys=True))
+        return 0
+    with open(PILOT_PATH, "r", encoding="utf-8") as f:
+        committed = json.load(f)
+    differs = False
+    for key in sorted(record.keys() | committed.keys()):
+        fresh, kept = record.get(key), committed.get(key)
+        same = _same(fresh, kept)
+        differs |= not same
+        print(f"{key}: {fresh!r}, committed {kept!r}{'' if same else '  DIFFERS'}")
+    return 1 if differs else 0
+
+
+def _same(fresh, kept):
+    # the record was written with one numpy/BLAS build; another build runs the
+    # same code to statistics that differ from it by about 1e-14 relative
+    if isinstance(fresh, float) and isinstance(kept, float):
+        return math.isclose(fresh, kept, rel_tol=1e-9)
+    return fresh == kept
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -164,8 +164,9 @@ class TestSpatialCovariance:
         np.testing.assert_array_equal(layout, bins.transpose(2, 0, 1))
 
     def test_first_call_peak_memory(self, rng):
-        # the layout copy plus one weighted block reads about 1.15x; a weighted
-        # copy of the whole grid, or a cached conj(z) layout, would read 2x or more
+        # stft's bins already hold the frequency-major layout, so one weighted
+        # block reads about 0.15x; a layout copy would add 1x, and a weighted
+        # copy of the whole grid or a cached conj(z) layout 1x more again
         spec = stft(render_scene(pilot_suite.make_scene(0)).mixture, CFG)
         assert spec.bins.shape == (8, CFG.num_frames(4 * FS), CFG.num_bins)
         mask = rng.uniform(0.0, 1.0, spec.bins.shape[1:])
@@ -177,6 +178,27 @@ class TestSpatialCovariance:
         finally:
             tracemalloc.stop()
         assert peak - before <= 1.5 * spec.bins.nbytes
+
+    def test_pilot_stft_and_first_call_peak_memory(self):
+        # the frame stack of one channel at a time, not of all 8 (2.25x), and
+        # no (F, M, T) copy on the first covariance call (1.21x)
+        scene = render_scene(pilot_suite.make_scene(0))
+        images = [*scene.source_images, scene.noise_image]
+        mask = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0).masks[0]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spec = stft(scene.mixture, CFG)
+            stft_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            spatial_covariance(spec, mask)
+            covariance_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert spec.bins.shape == (8, CFG.num_frames(4 * FS), CFG.num_bins)
+        assert stft_peak <= 1.6 * spec.bins.nbytes
+        assert covariance_peak <= 0.3 * spec.bins.nbytes
 
     def test_negative_mask_rejected(self, rng):
         spec = multichannel_spec(rng, 2, 4)
@@ -191,6 +213,33 @@ class TestSpatialCovariance:
         mask[2, 7] = np.nan
         with pytest.raises(InputError):
             spatial_covariance(spec, mask)
+
+
+def test_mask_layout_leaves_mvdr_bits_unchanged():
+    scene = render_scene(pilot_suite.make_scene(0))
+    images = [*scene.source_images, scene.noise_image]
+    mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
+    spec = stft(scene.mixture, CFG)
+    masks = mask_set.masks
+    layouts = {
+        "c": np.ascontiguousarray(masks),
+        "fortran": np.asfortranarray(masks),
+        # stored (S, F, T), read as (S, T, F)
+        "transposed": np.ascontiguousarray(masks.transpose(0, 2, 1)).transpose(0, 2, 1),
+    }
+    results = {}
+    for name, stored in layouts.items():
+        layout_set = MaskSet(stored, mask_set.num_speakers)
+        covs = [spatial_covariance(spec, mask) for mask in layout_set.masks]
+        estimates, _ = separate_mvdr(scene.mixture, layout_set, CFG, 0)
+        results[name] = (covs, estimates)
+    covs, estimates = results.pop("c")
+    for other_covs, other_estimates in results.values():
+        for cov, other in zip(covs, other_covs):
+            assert np.array_equal(cov.matrices, other.matrices)
+            assert np.array_equal(cov.mass, other.mass)
+        for estimate, other in zip(estimates, other_estimates):
+            assert np.array_equal(estimate.samples, other.samples)
 
 
 class TestInterferenceCovariance:

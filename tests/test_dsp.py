@@ -153,11 +153,31 @@ def framed_rfft(x, cfg):
     ids=["512-128", "400-160-fft512", "256-100", "300-7-fft512", "64-1"],
 )
 def test_stft_equals_per_frame_rfft(cfg, rng):
+    # one channel takes the batched path, more take the per-channel one;
     # the last length is shorter than the window
-    for length in [cfg.window_length, 3 * cfg.window_length + 5, 4001, cfg.window_length // 2 + 1]:
-        x = rng.standard_normal((3, length))
-        spec = stft(MultichannelWaveform(x, 16000), cfg)
-        assert np.array_equal(spec.bins, framed_rfft(x, cfg))
+    for channels in (1, 3, 8):
+        for length in [cfg.window_length, 3 * cfg.window_length + 5, 4001,
+                       cfg.window_length // 2 + 1]:
+            x = rng.standard_normal((channels, length))
+            spec = stft(MultichannelWaveform(x, 16000), cfg)
+            assert np.array_equal(spec.bins, framed_rfft(x, cfg))
+
+
+@pytest.mark.parametrize("channels", [1, 2, 8])
+def test_stft_layout(channels, rng):
+    cfg = StftConfig(512, 128)
+    spec = stft(MultichannelWaveform(rng.standard_normal((channels, 3000)), 16000), cfg)
+    assert spec.bins.shape == (channels, cfg.num_frames(3000), cfg.num_bins)
+    if channels == 1:
+        # masking and the iSTFT read (T, F) rows
+        assert spec.bins.flags.c_contiguous
+    else:
+        # the spatial kernels' layout is the array the bins view, not a copy
+        layout = spec.freq_major
+        assert layout.flags.c_contiguous
+        assert layout.shape == (cfg.num_bins, channels, spec.num_frames)
+        assert np.shares_memory(layout, spec.bins)
+    np.testing.assert_array_equal(spec.freq_major, spec.bins.transpose(2, 0, 1))
 
 
 class TestIstft:
