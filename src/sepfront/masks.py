@@ -35,6 +35,8 @@ class MaskSet:
                              "not one per speaker plus at most one noise stream")
         if not np.all(masks >= 0.0):
             raise InputError("mask values must be nonnegative (NaN is rejected)")
+        if not np.all(np.isfinite(masks)):
+            raise InputError("mask values must be finite")
         object.__setattr__(self, "masks", masks)
 
     @property

@@ -1,9 +1,10 @@
 """Separation metrics, losses, and permutation-invariant assignment.
 
 SI-SDR measures error after the best scalar fit of the reference; CI-SDR
-after the best short FIR fit (Toeplitz-structured least squares). The
-composite loss combines waveform and STFT-magnitude L1 terms. PIT alignment
-minimizes total cost over stream-to-reference permutations.
+after the best short FIR fit (least squares from its normal equations, with
+correlations taken block by block). The composite loss combines waveform and
+STFT-magnitude L1 terms. PIT alignment minimizes total cost over
+stream-to-reference permutations.
 """
 
 from dataclasses import dataclass
@@ -102,20 +103,43 @@ def si_sdr(estimate, reference, config=MetricConfig()):
 
 
 # the CI-SDR system of the last reference fitted: (taps, a copy of the
-# reference, FFT length, the reference's spectrum, the Cholesky factor of its
-# ridged Gram matrix); a scene scores every estimate against one reference
-# before it moves to the next, so each reference's system is built once
+# reference, block length, the conjugated spectra of the reference's blocks,
+# the ridge, the Cholesky factor of its ridged Gram matrix); a scene
+# scores every estimate against one reference before it moves to the next, so
+# each reference's system is built once
 _last_system = None
+
+# below this share of the estimate's energy, the error energy that the normal
+# equations give has lost too many digits to cancellation (a score of about
+# 30 dB or more), and the pair is scored from the fitted signal instead
+_IDENTITY_ERROR_FLOOR = 1e-3
+
+
+def _lags(signal, n, spectra, taps):
+    """sum over t of signal[t + d] * reference[t] for the lags d = 0..taps-1.
+
+    Overlap-save over the reference's blocks: with hop = n - taps + 1, block
+    b holds reference[b*hop : (b+1)*hop] zero-padded to n, and spectra[b] is
+    its conjugated spectrum. Each is correlated with the n samples of signal
+    from b*hop on, zero past its end, so no lag below taps wraps around.
+    """
+    hop = n - taps + 1
+    padded = np.zeros((len(spectra) - 1) * hop + n)
+    padded[:len(signal)] = signal
+    segments = sliding_window_view(padded, n)[::hop]
+    return np.fft.irfft(np.sum(np.fft.rfft(segments) * spectra, axis=0), n)[:taps]
 
 
 def _fir_system(reference, taps):
-    """(FFT length, spectrum, Cholesky factor) of the least-squares system
-    that fits a taps-long FIR of reference to an estimate.
+    """(block length, block spectra, ridge, Cholesky factor) of the
+    least-squares system that fits a taps-long FIR of reference to an
+    estimate.
 
-    The reference's autocorrelation at lags 0..taps-1 comes from a real FFT
-    of length at least L + taps - 1, so no lag wraps around, rounded up to a
-    length with only small prime factors, because a transform of a length
-    with a large prime factor (64 511 for 4 s and 512 taps) is ~20x slower.
+    The reference's autocorrelation at lags 0..taps-1 comes from _lags over
+    blocks of a length n of at least 4*taps and 1024 with only small prime
+    factors, so at least three quarters of each block is new samples and
+    each pair's cross-correlation costs one batched short transform, not a
+    transform of length L + taps - 1.
     Column i of the system is the reference delayed by i and truncated at L,
     so entry (i, i+d) of its Gram matrix is r[d] minus what the truncation
     loses, sum over p < i of rev[p]*rev[p+d] with rev the reversed
@@ -134,9 +158,13 @@ def _fir_system(reference, taps):
     if energy == 0.0:
         raise InputError("reference signal is all-zero")
     L = len(reference)
-    n = next_fast_len(L + taps - 1, real=True)
-    spectrum = np.fft.rfft(reference, n)
-    r = np.fft.irfft(spectrum * np.conj(spectrum), n)[:taps]
+    n = next_fast_len(max(4 * taps, 1024), real=True)
+    hop = n - taps + 1
+    count = -(-L // hop)
+    blocks = np.zeros(count * hop)
+    blocks[:L] = reference
+    spectra = np.conj(np.fft.rfft(blocks.reshape(count, hop), n))
+    r = _lags(reference, n, spectra, taps)
     rev = np.zeros(2 * taps)
     rev[:taps] = reference[::-1][:taps]
     skewed = np.empty((taps, taps + 1))
@@ -146,41 +174,42 @@ def _fir_system(reference, taps):
     np.cumsum(skewed, axis=0, out=skewed)
     np.subtract(np.append(r, 0.0), skewed, out=skewed)
     gram = skewed.reshape(-1)[:taps * taps].reshape(taps, taps)
-    gram.flat[::taps + 1] += FIR_RIDGE * energy
+    ridge = FIR_RIDGE * energy
+    gram.flat[::taps + 1] += ridge
     # the transpose is Fortran-ordered, so LAPACK factors it in place; its
     # lower triangle is gram's upper one
     factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
-    _last_system = (taps, reference.copy(), n, spectrum, factor)
-    return n, spectrum, factor
-
-
-def _fir_fit(estimate, reference, taps):
-    """conv(reference, h)[:L] for the least-squares FIR h minimizing
-    ||estimate - conv(reference, h)[:L]||.
-
-    The cross-correlation of the estimate with the reference at lags
-    0..taps-1 and the fit both reuse the reference's spectrum.
-    """
-    n, spectrum, factor = _fir_system(reference, taps)
-    cross = np.fft.irfft(np.fft.rfft(estimate, n) * np.conj(spectrum), n)[:taps]
-    h = cho_solve(factor, cross, check_finite=False)
-    return np.fft.irfft(spectrum * np.fft.rfft(h, n), n)[:len(reference)]
+    _last_system = (taps, reference.copy(), n, spectra, ridge, factor)
+    return n, spectra, ridge, factor
 
 
 def ci_sdr(estimate, reference, config=MetricConfig()):
     """Convolutive-transfer-function-invariant SDR in dB, capped at +/- CAP_DB.
 
-    Fits a length-ci_sdr_taps FIR of the reference to the estimate in the
-    least-squares sense and scores the residual. Its LAPACK calls are
-    scipy's, and it makes no numpy BLAS call, so it keeps one BLAS thread
-    pool busy, not two.
+    Fits a length-ci_sdr_taps FIR h of the reference to the estimate in the
+    least-squares sense and scores the residual. With c the cross-correlation
+    and lam the ridge, h solves (G + lam I) h = c, so the fitted signal's
+    energy is h.c - lam |h|^2 and the residual's is |est|^2 - h.c - lam |h|^2;
+    the fitted signal itself is formed only when the residual is too small
+    for that difference to keep its digits. Its LAPACK calls are scipy's, and
+    it makes no numpy BLAS call, so it keeps one BLAS thread pool busy, not
+    two.
     """
     est, ref = _as_pair(estimate, reference)
-    if len(ref) < config.ci_sdr_taps:
-        raise InputError(
-            f"signals of length {len(ref)} shorter than the {config.ci_sdr_taps}-tap filter"
-        )
-    fitted = _fir_fit(est, ref, config.ci_sdr_taps)
+    taps = config.ci_sdr_taps
+    if len(ref) < taps:
+        raise InputError(f"signals of length {len(ref)} shorter than the {taps}-tap filter")
+    n, spectra, ridge, factor = _fir_system(ref, taps)
+    cross = _lags(est, n, spectra, taps)
+    h = cho_solve(factor, cross, check_finite=False)
+    fit = np.sum(h * cross)
+    penalty = ridge * np.sum(h * h)
+    energy = np.sum(est * est)
+    error = energy - fit - penalty
+    if error > _IDENTITY_ERROR_FLOOR * energy:
+        return _ratio_db(float(fit - penalty), float(error))
+    full = next_fast_len(len(ref) + taps - 1, real=True)
+    fitted = np.fft.irfft(np.fft.rfft(ref, full) * np.fft.rfft(h, full), full)[:len(ref)]
     return _ratio_db(float(np.sum(fitted * fitted)), float(np.sum((est - fitted) ** 2)))
 
 

@@ -13,7 +13,7 @@ from scipy.io import wavfile
 
 import pilot_suite
 from conftest import speech_like
-from sepfront import audio_io, beamform, cli, metrics, simulate
+from sepfront import audio_io, beamform, cli, metrics, simulate, tensorio
 from sepfront.beamform import separate_mvdr
 from sepfront.dsp import StftConfig
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
@@ -717,6 +717,24 @@ class TestSeparate:
         MaskSet(np.full((streams, frames, 257), 0.25), streams).save(path)
         assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
         assert f"{path}: {streams} mask streams for 2 speakers" in capsys.readouterr().err
+        assert not list(scene_dir.glob("est_*.wav"))
+
+    @pytest.mark.parametrize("method", cli.SEPARATION_METHODS)
+    def test_mask_file_infinite_value_exit_code(self, method, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        mask_dir = tmp_path / "masks"
+        mask_dir.mkdir()
+        config = base_config(manifest, tmp_path / "out",
+                             separator={"method": method, "mask_import_dir": str(mask_dir)})
+        cli.cmd_simulate(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        mixture = audio_io.read_wav(scene_dir / "mixture.wav")
+        masks = np.full((2, StftConfig(512, 128).num_frames(mixture.num_samples), 257), 0.5)
+        masks[0, 3, 40] = np.inf
+        path = mask_dir / "scene_0000.tns"
+        tensorio.save_tensor(path, masks)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+        assert f"{path}: mask values must be finite" in capsys.readouterr().err
         assert not list(scene_dir.glob("est_*.wav"))
 
     @pytest.mark.parametrize("method", cli.SEPARATION_METHODS)

@@ -332,3 +332,9 @@ class TestTensorFormat:
         masks[1, 2, 3] = np.nan
         with pytest.raises(InputError):
             MaskSet(masks, 1)
+
+    def test_infinite_mask_rejected(self):
+        masks = np.ones((2, 3, 4))
+        masks[1, 2, 3] = np.inf
+        with pytest.raises(InputError, match="mask values must be finite"):
+            MaskSet(masks, 1)

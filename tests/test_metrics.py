@@ -140,8 +140,20 @@ def fir_cases(draw):
     return estimate, reference, draw(st.integers(1, n))
 
 
+def room_pair(rng, snr_db, length=8000):
+    """(estimate, reference): the reference through a 32-tap decaying room,
+    plus white noise snr_db below it."""
+    ref = speech_like(rng, length)
+    room = rng.standard_normal(32) * np.exp(-np.arange(32) / 8.0)
+    clean = np.convolve(ref, room)[:length]
+    noise = rng.standard_normal(length)
+    noise *= np.sqrt(np.sum(clean ** 2) / np.sum(noise ** 2) / 10.0 ** (snr_db / 10.0))
+    return clean + noise, ref
+
+
 class TestCiSdrKernel:
-    """The FFT-correlation fit against the loop fit and a dense oracle."""
+    """The blocked-correlation fit and its normal-equation energies against
+    the loop fit and a dense oracle."""
 
     def test_matches_loop_fit_on_speech_like_pairs(self, rng):
         for _ in range(4):
@@ -215,6 +227,62 @@ class TestCiSdrKernel:
         else:
             moved = ci_sdr(scale * est, ref, config)
         assert abs(moved - score) <= 1e-9
+
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-40.0, 99.0),
+           taps=st.sampled_from([64, 512]))
+    def test_identity_matches_loop_fit(self, seed, snr_db, taps):
+        est, ref = room_pair(np.random.default_rng(seed), snr_db)
+        score = ci_sdr(est, ref, MetricConfig(ci_sdr_taps=taps))
+        assert abs(score - ci_sdr_loop(est, ref, taps)) <= 1e-9
+
+    @pytest.mark.parametrize("taps", [64, 512])
+    @pytest.mark.parametrize("share", [0.99, 1.01], ids=["fitted-signal", "identity"])
+    def test_both_sides_of_the_identity_switch(self, taps, share, rng):
+        # noise orthogonal to every delayed copy of the reference is left
+        # whole by the fit, so the residual's share of the estimate's energy
+        # is set exactly, just under or just over the switch
+        ref = speech_like(rng, 8000)
+        room = rng.standard_normal(32) * np.exp(-np.arange(32) / 8.0)
+        clean = np.convolve(ref, room)[:8000]
+        cols = np.zeros((8000, taps))
+        for i in range(taps):
+            cols[i:, i] = ref[: 8000 - i]
+        noise = rng.standard_normal(8000)
+        noise -= cols @ np.linalg.lstsq(cols, noise, rcond=None)[0]
+        floor = share * metrics._IDENTITY_ERROR_FLOOR
+        noise *= np.sqrt(floor / (1.0 - floor) * np.sum(clean ** 2) / np.sum(noise ** 2))
+        est = clean + noise
+        expected = ci_sdr_loop(est, ref, taps)
+        switch_db = 10.0 * np.log10(1.0 / metrics._IDENTITY_ERROR_FLOOR - 1.0)
+        assert (expected > switch_db) == (share < 1.0)
+        assert abs(ci_sdr(est, ref, MetricConfig(ci_sdr_taps=taps)) - expected) <= 1e-9
+
+    @pytest.mark.parametrize("taps", [1, 64, 512])
+    @pytest.mark.parametrize("blocks", ["two-exact", "two-and-one-sample", "one-exact",
+                                        "under-one"])
+    @pytest.mark.parametrize("snr_db", [10.0, 60.0])
+    def test_block_edges(self, taps, blocks, snr_db, rng):
+        hop = metrics._fir_system(np.ones(taps), taps)[0] - taps + 1
+        length = {"two-exact": 2 * hop, "two-and-one-sample": 2 * hop + 1, "one-exact": hop,
+                  "under-one": max(taps, hop // 2)}[blocks]
+        est, ref = room_pair(rng, snr_db, length)
+        score = ci_sdr(est, ref, MetricConfig(ci_sdr_taps=taps))
+        assert abs(score - ci_sdr_loop(est, ref, taps)) <= 1e-9
+
+    @pytest.mark.parametrize("taps", [2, 64, 512])
+    def test_taps_equal_to_length_in_one_block(self, taps, rng):
+        # the signals fit in one block; the zero first sample leaves est[0]
+        # unfitted, and the unit second sample over a small decaying tail
+        # keeps the full-length system well conditioned
+        ref = np.zeros(taps)
+        ref[1] = 1.0
+        ref[2:] = 0.1 * rng.standard_normal(taps - 2) * np.exp(-np.arange(taps - 2) / 8.0)
+        est = rng.standard_normal(taps)
+        score = ci_sdr(est, ref, MetricConfig(ci_sdr_taps=taps))
+        assert abs(score - 10.0 * np.log10(np.sum(est[1:] ** 2) / est[0] ** 2)) <= 1e-9
+        assert abs(score - ci_sdr_loop(est, ref, taps)) <= 1e-9
 
 
 def cold_ci_sdr(estimate, reference, config, monkeypatch):
