@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Spectrogram, istft, stft
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, NumericalError
 
 DEFAULT_LOADING = 1e-7
 
@@ -73,19 +73,24 @@ def spatial_covariance(spec, mask):
     num_mics = spec.num_channels
     weighted = np.empty((spec.num_bins, num_mics, num_mics), dtype=np.complex128)
     step = max(1, _BLOCK_BYTES // z[0].nbytes)
-    for lo in range(0, spec.num_bins, step):
-        block = z[lo:lo + step]
-        # conj(mask z) z^T is the conjugate of V's sum: conjugating the weighted
-        # block in place, and the product once below, needs no conj(z) copy
-        y = mask.T[lo:lo + step, np.newaxis, :] * block
-        np.matmul(np.conjugate(y, out=y), block.transpose(0, 2, 1), out=weighted[lo:lo + step])
-    np.conjugate(weighted, out=weighted)
-    mass = mask.sum(axis=0)
-    zero = mass <= 0.0
-    matrices = np.zeros_like(weighted)
-    matrices[~zero] = weighted[~zero] / mass[~zero, np.newaxis, np.newaxis]
-    # symmetrize to remove rounding-level Hermitian drift
-    matrices = 0.5 * (matrices + np.conj(np.swapaxes(matrices, 1, 2)))
+    # a spectrogram too loud for float64 overflows here; the finite check
+    # after the block reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, spec.num_bins, step):
+            block = z[lo:lo + step]
+            # conj(mask z) z^T is the conjugate of V's sum: conjugating the weighted
+            # block in place, and the product once below, needs no conj(z) copy
+            y = mask.T[lo:lo + step, np.newaxis, :] * block
+            np.matmul(np.conjugate(y, out=y), block.transpose(0, 2, 1),
+                      out=weighted[lo:lo + step])
+        np.conjugate(weighted, out=weighted)
+        mass = mask.sum(axis=0)
+        zero = mass <= 0.0
+        matrices = np.zeros_like(weighted)
+        matrices[~zero] = weighted[~zero] / mass[~zero, np.newaxis, np.newaxis]
+        # symmetrize to remove rounding-level Hermitian drift
+        matrices = 0.5 * (matrices + np.conj(np.swapaxes(matrices, 1, 2)))
+    _check_finite(matrices, "spatial covariance")
     return SpatialCovarianceSet(matrices=matrices, mass=mass, zero_mass=zero)
 
 
@@ -102,13 +107,24 @@ def interference_covariance(all_covs, target):
     others = [cov for i, cov in enumerate(all_covs) if i != target]
     if not others:
         raise ConfigurationError("no non-target streams to build interference from")
-    matrices = sum(cov.matrices for cov in others)
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = sum(cov.matrices for cov in others)
+    _check_finite(matrices, "interference covariance")
     mass = sum(cov.mass for cov in others)
     zero = np.all([cov.zero_mass for cov in others], axis=0)
     return SpatialCovarianceSet(matrices=matrices, mass=mass, zero_mass=zero)
 
 
+def _check_finite(values, what):
+    """Raise NumericalError if any frequency (leading index) of values holds a
+    NaN or an infinite value."""
+    bad = np.count_nonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
+    if bad:
+        raise NumericalError(f"non-finite {what} at {bad} of {len(values)} frequencies")
+
+
 def _check_hermitian(matrices, name):
+    _check_finite(matrices, f"{name} covariance")  # NaN drift passes the test below
     drift = np.abs(matrices - np.conj(np.swapaxes(matrices, 1, 2))).max()
     scale = max(np.abs(matrices).max(), 1e-300)
     if drift > HERMITIAN_TOL * scale:
@@ -135,17 +151,21 @@ def mvdr_weights(target, interference, ref_mic):
     _check_hermitian(vt, "target")
     _check_hermitian(vi, "interference")
 
-    trace_i = np.real(np.trace(vi, axis1=1, axis2=2))
-    solved = np.flatnonzero(trace_i > 0.0)
-    loading_term = (DEFAULT_LOADING * trace_i[solved] / num_mics)[:, np.newaxis, np.newaxis]
-    ratio = np.linalg.solve(vi[solved] + loading_term * np.eye(num_mics), vt[solved])
-    tr = np.trace(ratio, axis1=1, axis2=2)
-    usable = np.abs(tr) >= TRACE_TOL * num_mics
-    kept = solved[usable]
+    # covariances near float64's limits overflow here; the finite check after
+    # the block reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace_i = np.real(np.trace(vi, axis1=1, axis2=2))
+        solved = np.flatnonzero(trace_i > 0.0)
+        loading_term = (DEFAULT_LOADING * trace_i[solved] / num_mics)[:, np.newaxis, np.newaxis]
+        ratio = np.linalg.solve(vi[solved] + loading_term * np.eye(num_mics), vt[solved])
+        tr = np.trace(ratio, axis1=1, axis2=2)
+        usable = np.abs(tr) >= TRACE_TOL * num_mics
+        kept = solved[usable]
 
-    weights = np.zeros((num_freqs, num_mics), dtype=np.complex128)
-    weights[:, ref_mic] = 1.0
-    weights[kept] = ratio[usable, :, ref_mic] / tr[usable, np.newaxis]
+        weights = np.zeros((num_freqs, num_mics), dtype=np.complex128)
+        weights[:, ref_mic] = 1.0
+        weights[kept] = ratio[usable, :, ref_mic] / tr[usable, np.newaxis]
+    _check_finite(weights, "MVDR weights")
     passthrough = np.ones(num_freqs, dtype=bool)
     passthrough[kept] = False
     return BeamformerWeights(weights=weights, passthrough=passthrough)

@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate, separate, evaluate, run-all.
 
 The CLI is a thin shell over the library API: every numeric output equals the
-corresponding in-memory composition on the same inputs. Scenes are processed
-in canonical (sorted id) order and all randomness is seeded, so identical
-configs produce identical outputs apart from the timing fields.
+corresponding in-memory composition on the same inputs. Every stage takes its
+scenes from the scene manifest, in canonical (sorted id) order, and all
+randomness is seeded, so identical configs produce identical outputs apart
+from the timing fields.
 """
 
 import argparse
@@ -177,13 +178,14 @@ def load_config(path=None, overrides=None):
     return config
 
 
-def _read_json(path, what, error):
-    """The JSON object in the file at path; what names the file in errors."""
+def _read_json(path, what, error, step=None):
+    """The JSON object in the file at path; what names the file in errors, and
+    step the stage that writes it, for the error when it is missing."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             document = json.load(f)
     except FileNotFoundError as exc:
-        raise error(f"{what} not found: {path}") from exc
+        raise error(f"{what} not found: {path}" + (f"; run {step} first" if step else "")) from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
@@ -280,14 +282,23 @@ def _scene_spec(scene, manifest, base_dir, global_seed):
     )
 
 
-def _scene_dirs(output_dir, scene_ids=None):
-    """The named scenes' directories, or every scene directory under output_dir."""
-    scenes_root = Path(output_dir) / "scenes"
-    if scene_ids is not None:
-        return [scenes_root / scene_id for scene_id in sorted(scene_ids)]
-    if not scenes_root.is_dir():
-        raise InputError(f"no scenes directory under {output_dir}; run simulate first")
-    return sorted(d for d in scenes_root.iterdir() if d.is_dir())
+def _run_scenes(config, stage):
+    """(manifest, [(scene, its directory)]) of scene_manifest, in id order.
+    Every stage maps over this list, so none touches a scene directory that
+    the manifest does not name."""
+    if not config["scene_manifest"]:
+        raise ConfigurationError(f"{stage} requires scene_manifest")
+    manifest = load_manifest(config["scene_manifest"])
+    scenes_root = Path(config["output_dir"]) / "scenes"
+    return manifest, [(scene, scenes_root / scene["id"])
+                      for scene in sorted(manifest["scenes"], key=lambda s: s["id"])]
+
+
+def _clear_separation(scene_dir):
+    """Delete what separate wrote in the scene directory, so a flags.json
+    there means that a complete separate ran after the scene's latest render."""
+    for path in [*scene_dir.glob("est_*.wav"), scene_dir / "flags.json"]:
+        path.unlink(missing_ok=True)
 
 
 def _bundled_openblas():
@@ -313,7 +324,8 @@ def _scene_pool(jobs):
     """Yield map(fn, items) for the per-scene tasks of one run.
 
     With jobs > 1 every map of more than one item goes through one process
-    pool, started at the first such map and shut down when the block ends.
+    pool of min(jobs, items) workers, started at the first such map and shut
+    down when the block ends.
     Before its workers fork, every bundled OpenBLAS (numpy's for matmuls and
     solves, scipy's for CI-SDR's Cholesky) is capped at an even share of the
     usable CPUs, so jobs workers do not each run full sets of BLAS threads on
@@ -333,7 +345,7 @@ def _scene_pool(jobs):
             for get, set_ in _bundled_openblas():
                 restore.append((set_, get()))
                 set_(share)
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)))
         return list(pool.map(fn, items))
 
     try:
@@ -345,40 +357,24 @@ def _scene_pool(jobs):
             set_(previous)
 
 
-def _map_scenes(fn, items, jobs, scene_map):
-    """fn over items through scene_map, or through a _scene_pool of their own."""
-    if scene_map is not None:
-        return scene_map(fn, items)
-    with _scene_pool(jobs) as scene_map:
-        return scene_map(fn, items)
-
-
-def cmd_simulate(config, scene_map=None):
-    """Render every manifest scene to WAV files under output_dir/scenes/<id>/."""
-    if not config["scene_manifest"]:
-        raise ConfigurationError("simulate requires scene_manifest")
-    manifest = load_manifest(config["scene_manifest"])
-    out_root = Path(config["output_dir"]) / "scenes"
-    out_root.mkdir(parents=True, exist_ok=True)
-    fmt = config["wav_format"]
-
-    scenes = sorted(manifest["scenes"], key=lambda s: s["id"])
+def cmd_simulate(config, scene_map=map):
+    """Render every manifest scene to WAV files under output_dir/scenes/<id>/;
+    scene_map maps the per-scene tasks, in process unless run passes its pool."""
+    manifest, scenes = _run_scenes(config, "simulate")
+    Path(config["output_dir"], "scenes").mkdir(parents=True, exist_ok=True)
     # scenes without their own seed get a distinct deterministic one
-    args = [
-        (scene, manifest, config["scene_manifest"], config["seed"] + i, out_root, fmt)
-        for i, scene in enumerate(scenes)
-    ]
-    _map_scenes(_simulate_one, args, config["jobs"], scene_map)
-    return [scene["id"] for scene in scenes]
+    args = [(scene, manifest, config["scene_manifest"], config["seed"] + i, scene_dir,
+             config["wav_format"]) for i, (scene, scene_dir) in enumerate(scenes)]
+    list(scene_map(_simulate_one, args))
 
 
 def _simulate_one(arg):
-    scene, manifest, manifest_path, global_seed, out_root, fmt = arg
+    scene, manifest, manifest_path, global_seed, scene_dir, fmt = arg
     try:  # what only the simulator, the scene's WAVs or the WAV format can rule out
         spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
         rendered = simulate.render_scene(spec)
-        scene_dir = out_root / scene["id"]
-        scene_dir.mkdir(parents=True, exist_ok=True)
+        scene_dir.mkdir(exist_ok=True)
+        _clear_separation(scene_dir)
         audio_io.write_wav(scene_dir / "mixture.wav", rendered.mixture, fmt)
         for k, image in enumerate(rendered.source_images, start=1):
             audio_io.write_wav(scene_dir / f"source_{k}.wav", image, fmt)
@@ -406,7 +402,7 @@ def _open_scene(scene_dir):
     checked: the record against SCENE_SCHEMA with its reference_mic one of
     its mics, the mixture at the record's rate with one channel per mic."""
     path = scene_dir / "scene.json"
-    record = _read_json(path, "scene file", InputError)
+    record = _read_json(path, "scene file", InputError, "simulate")
     _check(record, SCENE_SCHEMA, "", f"scene file {path}", InputError)
     num_mics = len(record["mic_positions"])
     if record["reference_mic"] >= num_mics:
@@ -459,49 +455,47 @@ def _scene_masks(scene_dir, config, stft_config, ref_mic, num_sources, mixture):
     )
 
 
-def cmd_separate(config, scene_ids=None, scene_map=None):
-    """Write est_k.wav per speaker (plus a flags sidecar) for the scenes named
-    in scene_ids, or for every scene under output_dir."""
-    scene_dirs = _scene_dirs(config["output_dir"], scene_ids)
+def cmd_separate(config, scene_map=map):
+    """Write est_k.wav per speaker (plus a flags sidecar) for every manifest scene."""
+    _, scenes = _run_scenes(config, "separate")
     stft_config = _stft_config(config)
-    args = [(d, config, stft_config) for d in scene_dirs]
-    _map_scenes(_separate_one, args, config["jobs"], scene_map)
+    list(scene_map(_separate_one, [(d, config, stft_config) for _, d in scenes]))
 
 
 def _separate_one(arg):
     scene_dir, config, stft_config = arg
+    _clear_separation(scene_dir)
     record, mixture = _open_scene(scene_dir)
     ref_mic = record["reference_mic"]
     method = config["separator"]["method"]
     mask_set = _scene_masks(scene_dir, config, stft_config, ref_mic, len(record["sources"]),
                             mixture)
 
-    if method == "mvdr":
-        estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
-    else:  # "masking"; load_config admits only SEPARATION_METHODS
-        estimates = masks.separate_masking(mixture, mask_set, stft_config, ref_mic)
-        flags = [{} for _ in estimates]
+    try:
+        if method == "mvdr":
+            estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
+        else:  # "masking"; load_config admits only SEPARATION_METHODS
+            estimates = masks.separate_masking(mixture, mask_set, stft_config, ref_mic)
+            flags = [{} for _ in estimates]
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # what failed, then the input it failed on
+        raise NumericalError(f"{exc}, separating {scene_dir / 'mixture.wav'}") from exc
 
     fmt = config["wav_format"]
-    # evaluate scores est_1..est_K; no est_*.wav of an earlier run is left
-    # beside them
-    for stale in scene_dir.glob("est_*.wav"):
-        stale.unlink()
     for k, est in enumerate(estimates, start=1):
         audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
     with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
         json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
 
 
-def cmd_evaluate(config, scene_ids=None, scene_map=None):
-    """PIT-aligned scoring of the scenes named in scene_ids, or of every scene
-    under output_dir; writes report files and returns the report."""
-    scene_dirs = _scene_dirs(config["output_dir"], scene_ids)
+def cmd_evaluate(config, scene_map=map):
+    """PIT-aligned scoring of every manifest scene; writes report files and
+    returns the report."""
+    _, scenes = _run_scenes(config, "evaluate")
     metric_name = config["metric"]["name"]
     metric_config = _metric_config(config)
-    args = [(d, config, metric_name, metric_config) for d in scene_dirs]
-    records = _map_scenes(_evaluate_one, args, config["jobs"], scene_map)
-    records.sort(key=lambda r: r["scene_id"])
+    args = [(d, config, metric_name, metric_config) for _, d in scenes]
+    records = list(scene_map(_evaluate_one, args))
 
     all_scores = [s for r in records for s in r["output_db"]]
     all_inputs = [s for r in records for s in r["input_db"]]
@@ -536,7 +530,7 @@ def _evaluate_one(arg):
     ref_mic = record["reference_mic"]
 
     # reported as written; the scene's layout names the estimates
-    flags = _read_json(scene_dir / "flags.json", "flags file", InputError)
+    flags = _read_json(scene_dir / "flags.json", "flags file", InputError, "separate")
     sources = range(1, len(record["sources"]) + 1)
     references = [_scene_wav(scene_dir / f"source_{k}.wav", mixture.sample_rate,
                              *mixture.samples.shape).channel(ref_mic) for k in sources]
@@ -581,17 +575,16 @@ def render_table(records, report, metric_name):
 
 
 def run(config):
-    """Run the configured stages through one scene pool; run-all separates and
-    scores only the scenes its own simulate stage wrote."""
+    """Run the configured stages, each on the scenes of scene_manifest, through
+    one scene pool."""
     command = config["command"]
     with _scene_pool(config["jobs"]) as scene_map:
-        scene_ids = None
         if command in ("simulate", "run-all"):
-            scene_ids = cmd_simulate(config, scene_map)
+            cmd_simulate(config, scene_map)
         if command in ("separate", "run-all"):
-            cmd_separate(config, scene_ids, scene_map)
+            cmd_separate(config, scene_map)
         if command in ("evaluate", "run-all"):
-            return cmd_evaluate(config, scene_ids, scene_map)
+            return cmd_evaluate(config, scene_map)
     return None
 
 

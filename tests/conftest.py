@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
-
-def speech_like(rng, num_samples, sample_rate=16000):
-    """Amplitude-modulated lowpassed noise; sparse-ish in time and frequency."""
-    noise = rng.standard_normal(num_samples)
-    colored = lfilter([0.1], [1.0, -0.9], noise)
-    rate = rng.uniform(1.0, 4.0)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    envelope = 0.5 + 0.5 * np.sin(
-        2.0 * np.pi * rate * np.arange(num_samples) / sample_rate + phase
-    )
-    return colored * envelope
+from pilot_suite import speech_like  # noqa: F401  (the tests import it from here)
 
 
 @pytest.fixture

@@ -42,7 +42,8 @@ MIN_SEPARATION_DEG = 30.0
 PILOT_PATH = Path(__file__).parent / "data" / "pilot_mvdr.json"
 
 
-def _speech_like(rng, num_samples):
+def speech_like(rng, num_samples):
+    """Amplitude-modulated lowpassed noise; sparse-ish in time and frequency."""
     noise = rng.standard_normal(num_samples)
     colored = lfilter([0.1], [1.0, -0.9], noise)
     rate = rng.uniform(1.0, 4.0)
@@ -61,8 +62,8 @@ def make_scene(index):
     gap = np.deg2rad(rng.uniform(MIN_SEPARATION_DEG, 180.0 - MIN_SEPARATION_DEG))
     az2 = (az1 + gap) % (2.0 * np.pi)
     sources = (
-        SourceSpec(_speech_like(rng, num_samples), azimuth=az1),
-        SourceSpec(_speech_like(rng, num_samples), azimuth=az2),
+        SourceSpec(speech_like(rng, num_samples), azimuth=az1),
+        SourceSpec(speech_like(rng, num_samples), azimuth=az2),
     )
     return SceneSpec(
         sources=sources,

@@ -16,7 +16,7 @@ from sepfront.beamform import (
     spatial_covariance,
 )
 from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig, stft
-from sepfront.errors import ConfigurationError, InputError
+from sepfront.errors import ConfigurationError, InputError, NumericalError
 from sepfront.masks import MaskSet, oracle_mask_from_waveforms
 from sepfront.metrics import si_sdr
 from sepfront.simulate import SceneSpec, SourceSpec, linear_array, render_scene
@@ -214,6 +214,14 @@ class TestSpatialCovariance:
         with pytest.raises(InputError):
             spatial_covariance(spec, mask)
 
+    def test_overflow_is_a_numerical_error(self, rng):
+        """Finite bins whose outer products overflow float64 fail by name,
+        with no numpy warning first."""
+        spec = multichannel_spec(rng, 2, 4)
+        loud = Spectrogram(spec.bins * 1e160, CFG, spec.original_length)
+        with pytest.raises(NumericalError, match=r"non-finite spatial covariance at 257 of 257"):
+            spatial_covariance(loud, np.ones((4, CFG.num_bins)))
+
 
 def test_mask_layout_leaves_mvdr_bits_unchanged():
     scene = render_scene(pilot_suite.make_scene(0))
@@ -269,6 +277,11 @@ class TestInterferenceCovariance:
         only = covariance_from([random_psd(rng, 2)])
         with pytest.raises(ConfigurationError):
             interference_covariance([only], target=0)
+
+    def test_overflowing_sum_is_a_numerical_error(self):
+        loud = covariance_from([1e308 * np.eye(2), np.eye(2)])
+        with pytest.raises(NumericalError, match="non-finite interference covariance at 1 of 2"):
+            interference_covariance([loud, loud, loud], target=0)
 
 
 class TestMvdrWeights:
@@ -347,6 +360,21 @@ class TestMvdrWeights:
         cov = covariance_from([random_psd(rng, 2)])
         with pytest.raises(ConfigurationError):
             mvdr_weights(cov, cov, ref_mic=5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["target", "interference"])
+    def test_non_finite_covariance_rejected(self, name, value, rng):
+        covs = {"target": [random_psd(rng, 2), random_psd(rng, 2)],
+                "interference": [random_psd(rng, 2), random_psd(rng, 2)]}
+        covs[name][1][0, 1] = covs[name][1][1, 0] = value
+        with pytest.raises(NumericalError, match=f"non-finite {name} covariance at 1 of 2"):
+            mvdr_weights(covariance_from(covs["target"]), covariance_from(covs["interference"]),
+                         0)
+
+    def test_overflowing_weights_rejected(self):
+        huge, tiny = covariance_from([1e300 * np.eye(2)]), covariance_from([1e-300 * np.eye(2)])
+        with pytest.raises(NumericalError, match="non-finite MVDR weights at 1 of 1"):
+            mvdr_weights(huge, tiny, 0)
 
 
 class TestApplyBeamformer:

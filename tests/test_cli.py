@@ -332,7 +332,8 @@ class TestSchemaProperties:
         (scene_dir / "flags.json").write_text(json.dumps(mutate(valid, action, path, new)))
         with monkeypatch.context() as patch:
             reads = recorded_reads(patch)
-            code = cli.main(["--command", "evaluate", "--output-dir", str(out)])
+            code = cli.main(["--command", "evaluate", "--output-dir", str(out),
+                             "--scene-manifest", str(tmp_path / "in" / "manifest.json")])
         assert code == cli.EXIT_OK
         assert all(in_dir(p, scene_dir) for p in reads)
         record = json.loads((out / "report.jsonl").read_text())
@@ -379,7 +380,8 @@ class TestSchemaProperties:
             (scene_dir / "scene.json").write_text(json.dumps(mutate(valid, *edit)))
         before = set(tmp_path.rglob("*"))
         for command in ("evaluate", "separate"):
-            code = cli.main(["--command", command, "--output-dir", str(out)])
+            code = cli.main(["--command", command, "--output-dir", str(out),
+                             "--scene-manifest", str(tmp_path / "in" / "manifest.json")])
             err = capsys.readouterr().err
             assert code in (cli.EXIT_OK, cli.EXIT_INPUT)
             if code == cli.EXIT_INPUT:
@@ -1048,6 +1050,21 @@ class TestRunAll:
         assert code == cli.EXIT_NUMERICAL
         assert f"numerical failure: {error}" in capsys.readouterr().err
 
+    def test_overflowing_mixture_exit_code(self, tmp_path, capsys):
+        """A finite float64 mixture too loud for the covariances exits 4 naming
+        the mixture, and leaves no estimate or flags.json of the earlier run."""
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        cli.run(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        edit_wav("mixture.wav", lambda rate, data: (rate, data.astype(np.float64) * 1e160))(
+            scene_dir)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite spatial covariance" in err
+        assert str(scene_dir / "mixture.wav") in err
+        assert not list(scene_dir.glob("est_*.wav")) and not (scene_dir / "flags.json").exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=3)
         serial = base_config(manifest, tmp_path / "serial", jobs=1)
@@ -1104,6 +1121,80 @@ def worker_share(jobs):
     return max(1, len(os.sched_getaffinity(0)) // jobs)
 
 
+def outputs_of(out_dir):
+    """{path under out_dir: bytes} of a run's estimates and flags, and its
+    report.jsonl records without their timing."""
+    outputs = {p.relative_to(out_dir): p.read_bytes()
+               for pattern in ("scenes/*/est_*.wav", "scenes/*/flags.json")
+               for p in sorted(out_dir.glob(pattern))}
+    records = [json.loads(line) for line in (out_dir / "report.jsonl").read_text().splitlines()]
+    for record in records:
+        del record["timing_s"]
+    return outputs, records
+
+
+class TestStageLineage:
+    """Every stage takes its scenes from scene_manifest, and a render deletes
+    the scene's separation, so no stage scores what an earlier run left."""
+
+    def test_rerendered_scene_is_not_scored_with_old_estimates(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        content = json.loads(manifest.read_text())
+        for scene in content["scenes"]:
+            scene.update(seed=777, sources=scene["sources"][::-1],
+                         noise={"kind": "white_gaussian", "snr_db": 0.0})
+        manifest.write_text(json.dumps(content))
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_OK
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        assert not list(scene_dir.glob("est_*.wav"))
+        assert run_main(tmp_path, config, "evaluate") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{scene_dir / 'flags.json'}; run separate first" in err
+
+    def test_standalone_evaluate_scores_only_its_manifest_scenes(self, tmp_path):
+        first = write_manifest(tmp_path / "a", num_scenes=2)
+        second = write_manifest(tmp_path / "b", num_scenes=1)
+        content = json.loads(second.read_text())
+        content["scenes"][0]["id"] = "other_0000"
+        second.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        for manifest in (first, second):
+            assert cli.main(["--command", "run-all", "--scene-manifest", str(manifest),
+                             "--output-dir", str(out)]) == cli.EXIT_OK
+        assert cli.main(["--command", "evaluate", "--scene-manifest", str(second),
+                         "--output-dir", str(out)]) == cli.EXIT_OK
+        records = (out / "report.jsonl").read_text().splitlines()
+        assert [json.loads(line)["scene_id"] for line in records] == ["other_0000"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stages_one_by_one_write_what_run_all_writes(self, jobs, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        staged = base_config(manifest, tmp_path / "staged", jobs=jobs)
+        for command in ("simulate", "separate", "evaluate"):
+            assert run_main(tmp_path, staged, command) == cli.EXIT_OK
+        assert run_main(tmp_path, base_config(manifest, tmp_path / "all", jobs=jobs),
+                        "run-all") == cli.EXIT_OK
+        outputs, records = outputs_of(tmp_path / "staged")
+        assert len(outputs) == 2 * 3 and len(records) == 2
+        assert (outputs, records) == outputs_of(tmp_path / "all")
+
+    @pytest.mark.parametrize("command", ["separate", "evaluate"])
+    def test_stage_without_manifest_exit_code(self, command, tmp_path, capsys):
+        code = cli.main(["--command", command, "--output-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert f"{command} requires scene_manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["separate", "evaluate"])
+    def test_unrendered_scene_names_the_missing_step(self, command, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
+        missing = tmp_path / "out" / "scenes" / "scene_0000" / "scene.json"
+        assert f"{missing}; run simulate first" in capsys.readouterr().err
+
+
 class TestScenePool:
     @pytest.mark.parametrize("jobs, expected", [(1, []), (2, [2])])
     def test_one_pool_per_run(self, jobs, expected, pools, tmp_path):
@@ -1114,10 +1205,20 @@ class TestScenePool:
         assert len((tmp_path / "out" / "report.jsonl").read_text().splitlines()) == 3
 
     def test_bare_stage_runs_in_its_own_pool(self, pools, tmp_path):
+        """A standalone stage command gets the run's one pool; a bare cmd_*
+        call maps its scenes in process."""
         manifest = write_manifest(tmp_path, num_scenes=2)
         config = base_config(manifest, tmp_path / "out", jobs=2)
-        assert cli.cmd_simulate(config) == ["scene_0000", "scene_0001"]
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_OK
         assert pools == [2]
+        cli.cmd_simulate(config)
+        assert pools == [2]
+
+    def test_pool_has_no_more_workers_than_scenes(self, pools, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=3)
+        config = base_config(manifest, tmp_path / "out", jobs=4)
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        assert pools == [3]
 
     def test_workers_get_an_even_share_of_the_cpus(self, openblas):
         jobs = 2
