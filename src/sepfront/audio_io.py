@@ -8,6 +8,8 @@ from .errors import InputError
 
 WAV_FORMATS = ("float32", "pcm16")
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # beyond it a float32 cast gives inf
+
 
 def read_wav(path):
     """Read a WAV file into a MultichannelWaveform (float64, channels x length)."""
@@ -35,12 +37,17 @@ def write_wav(path, waveform, fmt="float32"):
     """Write a MultichannelWaveform; fmt is "float32" (default) or "pcm16"."""
     data = waveform.samples.T
     if fmt == "float32":
-        limit = np.finfo(np.float32).max  # beyond it the cast gives inf
-        if max(data.max(initial=0.0), -data.min(initial=0.0)) > limit:
-            raise InputError(f"{path}: samples beyond the float32 range (|x| > {limit:.6g})")
+        if not fits_float32(data):
+            raise InputError(f"{path}: samples beyond the float32 range "
+                             f"(|x| > {FLOAT32_MAX:.6g})")
         wavfile.write(path, waveform.sample_rate, data.astype(np.float32))
     elif fmt == "pcm16":
         clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
         wavfile.write(path, waveform.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
     else:
         raise InputError(f"unsupported WAV format: {fmt!r}")
+
+
+def fits_float32(samples):
+    """Whether every sample of the (finite) array stays finite as a float32."""
+    return max(samples.max(initial=0.0), -samples.min(initial=0.0)) <= FLOAT32_MAX

@@ -1,8 +1,11 @@
 import copy
+import ctypes
 import json
 import os
 import re
+import resource
 import shutil
+import types
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +161,18 @@ class TestConfig:
         assert cli.main(["--config", str(path)]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out" / "scenes").exists()
+
+    def test_jobs_above_the_bound_starts_no_pool(self, pools, tmp_path, capsys):
+        assert cli.load_config(None, {"jobs": cli.MAX_JOBS})["jobs"] == cli.MAX_JOBS
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        code = cli.main(["--command", "run-all", "--scene-manifest", str(manifest),
+                         "--output-dir", str(tmp_path / "out"),
+                         "--jobs", str(cli.MAX_JOBS + 1)])
+        assert code == cli.EXIT_CONFIG
+        assert f"'jobs' must be in 1..{cli.MAX_JOBS}, got {cli.MAX_JOBS + 1}" in (
+            capsys.readouterr().err)
+        assert pools == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("document, code", [("config", cli.EXIT_CONFIG),
                                                 ("manifest", cli.EXIT_INPUT)])
@@ -1065,6 +1080,40 @@ class TestRunAll:
         assert str(scene_dir / "mixture.wav") in err
         assert not list(scene_dir.glob("est_*.wav")) and not (scene_dir / "flags.json").exists()
 
+    def test_estimate_beyond_float32_exit_code(self, tmp_path, capsys):
+        """A float64 mixture whose covariances stay finite but whose estimates
+        lie beyond float32 exits 4 naming the mixture, and writes nothing."""
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        cli.run(config)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        edit_wav("mixture.wav", lambda rate, data: (rate, data.astype(np.float64) * 1e150))(
+            scene_dir)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: est_1.wav: samples beyond the float32 range" in err
+        assert f"separating {scene_dir / 'mixture.wav'}" in err
+        assert not list(scene_dir.glob("est_*.wav")) and not (scene_dir / "flags.json").exists()
+
+    @pytest.mark.parametrize("stage", ["render", "separate"])
+    def test_memory_error_is_an_input_error(self, stage, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out", jobs=1)
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        if stage == "render":
+            monkeypatch.setattr(simulate, "render_scene", out_of_memory)
+            named = f"scene manifest {manifest}: scene 'scene_0000': out of memory"
+        else:
+            assert run_main(tmp_path, config, "simulate") == cli.EXIT_OK
+            monkeypatch.setattr(beamform, "separate_mvdr", out_of_memory)
+            named = f"out of memory, separating {scene_dir / 'mixture.wav'}"
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
+        assert f"input error: {named}" in capsys.readouterr().err
+        assert not list(scene_dir.glob("est_*.wav")) and not (scene_dir / "flags.json").exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=3)
         serial = base_config(manifest, tmp_path / "serial", jobs=1)
@@ -1079,6 +1128,18 @@ class TestRunAll:
 def _pool_blas_threads(_):
     """The thread count of every bundled OpenBLAS in the process that runs this task."""
     return [get() for get, _ in cli._bundled_openblas()]
+
+
+def _second_allocation_faults(_):
+    """Minor page faults of this process while it makes, writes and frees a
+    20 MiB array for the second time."""
+    def touch_and_free():
+        np.ones((20 << 20) // 8)
+
+    touch_and_free()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    touch_and_free()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
 @pytest.fixture
@@ -1267,6 +1328,39 @@ class TestScenePool:
         copies = cli._bundled_openblas()
         assert len(copies) == len(bundled)
         assert all(count >= 1 for count in threads(copies))
+
+    def test_workers_keep_their_heap(self):
+        """A pool worker reuses the pages of a freed scene-sized array rather
+        than fault in fresh ones (about 1000 faults for 20 MiB without)."""
+        if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("libc has no mallopt")
+        with cli._scene_pool(2) as scene_map:
+            faults = scene_map(_second_allocation_faults, range(2))
+        assert max(faults) < 100
+
+    def test_keep_heap_without_mallopt_does_nothing(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no libc here")
+
+        for cdll in (no_libc, lambda name: object()):
+            monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+            assert cli._keep_heap() is None
+
+    @pytest.mark.parametrize("returns, calls", [(1, 2), (0, 1)], ids=["taken", "refused"])
+    def test_keep_heap_sets_trim_only_after_mmap(self, returns, calls, monkeypatch):
+        """A refused mmap threshold leaves the trim threshold alone: either
+        setting by itself faults more than neither."""
+        made = []
+
+        def mallopt(param, value):
+            made.append((param, value))
+            return returns
+
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._keep_heap()
+        assert made == [(cli.M_MMAP_THRESHOLD, 32 << 20),
+                        (cli.M_TRIM_THRESHOLD, 512 << 20)][:calls]
 
     def test_jobs_give_identical_outputs_on_pilot_scenes(self, tmp_path):
         manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=2)
