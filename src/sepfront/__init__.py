@@ -27,7 +27,6 @@ from .metrics import (
     Assignment,
     LossWeights,
     MetricConfig,
-    align_scores,
     ci_sdr,
     evaluate_separation,
     pit_assign,

@@ -70,6 +70,9 @@ MAX_JOBS = 256
 _AT_LEAST_0 = (lambda value: value >= 0), ">= 0"
 _ABOVE_0 = (lambda value: value > 0), "> 0"
 _NON_EMPTY = (lambda value: len(value) > 0), "non-empty"
+# CI-SDR factors a (taps, taps + 1) float64 Gram buffer per reference: 134 MB
+# at this bound, 8 times the default 512 taps
+MAX_CI_SDR_TAPS = 4096
 # load_config builds the STFT window, so an absurd size fails here, not in
 # the allocation; a null fft_size means the window length
 _STFT_SIZE = (lambda value: value is None or value <= 1 << 16), "<= 65536"
@@ -89,7 +92,8 @@ CONFIG_SCHEMA = {
                   "mask_oracle_kind": _Key(str, rule=_one_of(masks.MASK_KINDS)),
                   "mask_import_dir": _Key(str, type(None))},
     "metric": {"name": _Key(str, rule=_one_of(metrics.METRIC_FUNCTIONS)),
-               "ci_sdr_taps": _Key(int)},
+               "ci_sdr_taps": _Key(int, rule=((lambda value: value <= MAX_CI_SDR_TAPS),
+                                              f"<= {MAX_CI_SDR_TAPS}"))},
 }
 
 # the array geometry of a manifest, or of a scene that overrides it
@@ -510,12 +514,11 @@ def _separate_one(arg):
                             mixture)
 
     fmt = config["wav_format"]
+    # looked up per call, so a patched module attribute is the one called;
+    # load_config admits only SEPARATION_METHODS
+    separate = beamform.separate_mvdr if method == "mvdr" else masks.separate_masking
     try:
-        if method == "mvdr":
-            estimates, flags = beamform.separate_mvdr(mixture, mask_set, stft_config, ref_mic)
-        else:  # "masking"; load_config admits only SEPARATION_METHODS
-            estimates = masks.separate_masking(mixture, mask_set, stft_config, ref_mic)
-            flags = [{} for _ in estimates]
+        estimates, flags = separate(mixture, mask_set, stft_config, ref_mic)
         for k, est in enumerate(estimates, start=1):  # all checked before the first write
             if fmt == "float32" and not audio_io.fits_float32(est.samples):
                 raise NumericalError(f"est_{k}.wav: samples beyond the float32 range "
@@ -582,15 +585,17 @@ def _evaluate_one(arg):
     estimates = [_scene_wav(scene_dir / f"est_{k}.wav", mixture.sample_rate, 1,
                             mixture.num_samples).channel(0) for k in sources]
 
-    mixture_ref = mixture.channel(ref_mic)
-    # row 0 scores the unprocessed mixture, the rest PIT-align the estimates
-    scores = metrics.score_matrix([mixture_ref, *estimates], references, metric_name,
-                                  metric_config)
-    result = metrics.align_scores(scores[1:])
+    try:
+        result = metrics.evaluate_separation(mixture.channel(ref_mic), estimates, references,
+                                             metric_name, metric_config)
+    except (InputError, MemoryError) as exc:
+        raise InputError(f"{str(exc) or 'out of memory'}, scoring {scene_dir}") from exc
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"{exc}, scoring {scene_dir}") from exc
     return {
         "scene_id": scene_dir.name,
         "metric": metric_name,
-        "input_db": scores[0].tolist(),
+        "input_db": result["input_db"],
         "output_db": result["per_speaker_db"],
         "mean_output_db": result["mean_db"],
         "assignment": list(result["assignment"].permutation),
@@ -648,16 +653,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "command": args.command,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-        "jobs": args.jobs,
-        "scene_manifest": args.scene_manifest,
-    }
+    # each flag's dest is its config key, so the flags are the overrides
+    args = vars(build_parser().parse_args(argv))
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.pop("config"), args)
         run(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

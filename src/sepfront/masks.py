@@ -152,7 +152,9 @@ def separate_masking(mixture, mask_set, config, ref_mic):
     inverse STFT. The noise stream, if present, is not rendered.
 
     Returns:
-        list of K single-channel MultichannelWaveforms.
+        (waveforms, flags), as separate_mvdr returns them: K single-channel
+        MultichannelWaveforms and K empty per-speaker dicts.
     """
     ref = _reference_spectrogram(mixture, config, ref_mic)
-    return [istft(apply_mask(mask, ref)) for mask in mask_set.speakers]
+    waveforms = [istft(apply_mask(mask, ref)) for mask in mask_set.speakers]
+    return waveforms, [{} for _ in waveforms]

@@ -271,28 +271,26 @@ def score_matrix(estimates, references, metric="si_sdr", config=MetricConfig()):
     return scores
 
 
-def align_scores(scores):
-    """PIT alignment of a K x K dB matrix: the assignment solved on negated
-    scores, and the aligned scores.
+def evaluate_separation(mixture, estimates, references, metric="si_sdr", config=MetricConfig()):
+    """Scores of a scene's unprocessed mixture and of its PIT-aligned estimates.
+
+    One score_matrix of [mixture, *estimates] against the references: row 0
+    scores the mixture, and the assignment is solved on the negated rows 1..K.
+    So CI-SDR builds each reference's system once per scene.
 
     Returns:
-        dict with "assignment" (Assignment), "per_speaker_db" (list, indexed
-        by estimate stream), and "mean_db".
+        dict with "input_db" (list, the mixture's score per reference),
+        "assignment" (Assignment), "per_speaker_db" (list, indexed by
+        estimate stream), and "mean_db".
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    assignment = pit_assign(-scores)
-    per_speaker = [float(scores[i, j]) for i, j in enumerate(assignment.permutation)]
+    if len(estimates) != len(references):
+        raise InputError(f"{len(estimates)} estimates vs {len(references)} references")
+    scores = score_matrix([mixture, *estimates], references, metric, config)
+    assignment = pit_assign(-scores[1:])
+    per_speaker = [float(scores[1 + i, j]) for i, j in enumerate(assignment.permutation)]
     return {
+        "input_db": scores[0].tolist(),
         "assignment": assignment,
         "per_speaker_db": per_speaker,
         "mean_db": float(np.mean(per_speaker)),
     }
-
-
-def evaluate_separation(estimates, references, metric="si_sdr", config=MetricConfig()):
-    """PIT-aligned per-speaker scores: align_scores of the K x K score_matrix."""
-    if len(estimates) != len(references):
-        raise InputError(
-            f"{len(estimates)} estimates vs {len(references)} references"
-        )
-    return align_scores(score_matrix(estimates, references, metric, config))

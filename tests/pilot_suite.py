@@ -24,10 +24,9 @@ from sepfront import (
     SceneSpec,
     SourceSpec,
     StftConfig,
-    align_scores,
+    evaluate_separation,
     linear_array,
     render_scene,
-    score_matrix,
 )
 from sepfront.beamform import separate_mvdr
 from sepfront.masks import oracle_mask_from_waveforms
@@ -77,22 +76,20 @@ def make_scene(index):
 
 def mvdr_scene_scores(scene, stft_config=StftConfig(512, 128)):
     """(input_db, aligned output_db) per reference speaker for oracle-IRM MVDR,
-    scored by the same two calls as the CLI's evaluate stage."""
+    scored by the same call as the CLI's evaluate stage."""
     images = [*scene.source_images, scene.noise_image]
     mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", stft_config,
                                           REFERENCE_MIC)
     estimates, _ = separate_mvdr(scene.mixture, mask_set, stft_config, REFERENCE_MIC)
 
-    mixture_ref = scene.mixture.channel(REFERENCE_MIC)
     references = [image.channel(REFERENCE_MIC) for image in scene.source_images]
-    # row 0 scores the unprocessed mixture, the rest PIT-align the estimates
-    scores = score_matrix([mixture_ref, *(e.channel(0) for e in estimates)], references)
-    result = align_scores(scores[1:])
+    result = evaluate_separation(scene.mixture.channel(REFERENCE_MIC),
+                                 [e.channel(0) for e in estimates], references)
     # align to reference index: estimate i was matched to reference perm[i]
     outputs = [0.0] * len(references)
     for i, j in enumerate(result["assignment"].permutation):
         outputs[j] = result["per_speaker_db"][i]
-    return scores[0].tolist(), outputs
+    return result["input_db"], outputs
 
 
 def run_pilot():

@@ -151,7 +151,8 @@ class TestConfig:
          ({"metric": {"ci_sdr_taps": 0}}, "'metric': ci_sdr_taps"),
          ({"stft": {"window_length": 1 << 40, "hop": 1 << 39, "fft_size": 1 << 40}},
           "'stft.window_length' must be <= 65536"),
-         ({"stft": {"fft_size": 1 << 40}}, "'stft.fft_size' must be <= 65536")],
+         ({"stft": {"fft_size": 1 << 40}}, "'stft.fft_size' must be <= 65536"),
+         ({"metric": {"ci_sdr_taps": 4097}}, "'metric.ci_sdr_taps' must be <= 4096")],
     )
     def test_bad_value_exits_at_load(self, entry, key, tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=1)
@@ -864,6 +865,57 @@ class TestEvaluate:
         assert run_main(tmp_path, config, "evaluate") == cli.EXIT_OK
         report = cli.cmd_evaluate(config)
         assert len(report["records"][0]["output_db"]) == 2
+
+    @pytest.mark.parametrize("metric", sorted(metrics.METRIC_FUNCTIONS))
+    def test_scores_are_the_library_call(self, metric, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1, reference_mic=1)
+        config = base_config(manifest, tmp_path / "out", metric={"name": metric,
+                                                                 "ci_sdr_taps": 64})
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        (record,) = [json.loads(line) for line in
+                     (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+        result = metrics.evaluate_separation(
+            audio_io.read_wav(scene_dir / "mixture.wav").channel(1),
+            [audio_io.read_wav(scene_dir / f"est_{k}.wav").channel(0) for k in (1, 2)],
+            [audio_io.read_wav(scene_dir / f"source_{k}.wav").channel(1) for k in (1, 2)],
+            metric, metrics.MetricConfig(ci_sdr_taps=64))
+        assert record["input_db"] == result["input_db"]
+        assert record["output_db"] == result["per_speaker_db"]
+        assert record["assignment"] == list(result["assignment"].permutation)
+
+    @pytest.mark.parametrize("metric, seconds, gain, message", [
+        ("si_sdr", 0.5, 0.0, "reference signal is all-zero"),
+        ("ci_sdr", 0.5, 0.0, "reference signal is all-zero"),
+        ("ci_sdr", 0.025, 1.0, "signals of length 400 shorter than the 512-tap filter"),
+    ], ids=["si_sdr-silent-source", "ci_sdr-silent-source", "ci_sdr-shorter-than-taps"])
+    def test_scoring_error_names_the_scene(self, metric, seconds, gain, message, tmp_path,
+                                           capsys):
+        manifest = write_manifest(tmp_path, num_scenes=1, seconds=seconds)
+        content = json.loads(manifest.read_text())
+        content["scenes"][0]["sources"][1]["gain"] = gain
+        manifest.write_text(json.dumps(content))
+        config = base_config(manifest, tmp_path / "out", metric={"name": metric})
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        assert f"input error: {message}, scoring {scene_dir}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (MemoryError(), cli.EXIT_INPUT, "input error: out of memory"),
+        (np.linalg.LinAlgError("not positive definite"), cli.EXIT_NUMERICAL,
+         "numerical failure: not positive definite"),
+    ], ids=["MemoryError", "LinAlgError"])
+    def test_scoring_failure_exit_code(self, error, code, prefix, tmp_path, monkeypatch,
+                                       capsys):
+        def failing_evaluate_separation(*args):
+            raise error
+
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out", jobs=1)
+        monkeypatch.setattr(metrics, "evaluate_separation", failing_evaluate_separation)
+        assert run_main(tmp_path, config, "run-all") == code
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        assert f"{prefix}, scoring {scene_dir}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("remove", ["flags.json", "est_2.wav"])
     def test_missing_listed_output_exit_code(self, remove, tmp_path, capsys):

@@ -207,7 +207,8 @@ class TestSeparateMasking:
         frames = CFG.num_frames(4000)
         ones = np.ones((1, frames, CFG.num_bins))
         mask_set = MaskSet(ones, 1)
-        (out,) = separate_masking(wf, mask_set, CFG, ref_mic=0)
+        (out,), flags = separate_masking(wf, mask_set, CFG, ref_mic=0)
+        assert flags == [{}]
         assert np.abs(out.samples[0] - x).max() < 1e-10
 
     def test_zero_mask_stream_gives_silence(self, rng):
@@ -215,7 +216,8 @@ class TestSeparateMasking:
         frames = CFG.num_frames(4000)
         masks = np.stack([np.ones((frames, CFG.num_bins)), np.zeros((frames, CFG.num_bins))])
         mask_set = MaskSet(masks, 2)
-        outs = separate_masking(MultichannelWaveform(x, FS), mask_set, CFG, 0)
+        outs, flags = separate_masking(MultichannelWaveform(x, FS), mask_set, CFG, 0)
+        assert flags == [{}, {}] and flags[0] is not flags[1]
         assert np.all(outs[1].samples == 0.0)
 
     def test_oracle_irm_beats_input_sdr(self, rng):
@@ -235,7 +237,7 @@ class TestSeparateMasking:
             scene = render_scene(spec)
             images = [*scene.source_images, scene.noise_image]
             mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", CFG, 0)
-            outs = separate_masking(scene.mixture, mask_set, CFG, 0)
+            outs, _ = separate_masking(scene.mixture, mask_set, CFG, 0)
             for k, out in enumerate(outs):
                 ref = scene.source_images[k].samples[0]
                 gained = si_sdr(out.samples[0], ref)
@@ -247,7 +249,7 @@ class TestSeparateMasking:
         images = [*scene.source_images, scene.noise_image]
         mask_set = oracle_mask_from_waveforms(scene.mixture, images, "psm", CFG, 5)
         mixture = full_array_reference(scene.mixture, 5)
-        outs = separate_masking(scene.mixture, mask_set, CFG, 5)
+        outs, _ = separate_masking(scene.mixture, mask_set, CFG, 5)
         for mask, out in zip(mask_set.speakers, outs):
             expected = istft(apply_mask(mask, mixture))
             assert np.array_equal(out.samples, expected.samples)

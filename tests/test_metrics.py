@@ -429,21 +429,26 @@ class TestScoreMatrix:
 class TestEvaluateSeparation:
     def test_identity(self, rng):
         refs = [rng.standard_normal(500) for _ in range(3)]
-        result = evaluate_separation(refs, refs)
+        mixture = sum(refs)
+        result = evaluate_separation(mixture, refs, refs)
+        assert result["input_db"] == [si_sdr(mixture, ref) for ref in refs]
         assert result["assignment"].permutation == (0, 1, 2)
         assert result["per_speaker_db"] == [100.0] * 3
         assert result["mean_db"] == 100.0
 
     def test_swapped_order(self, rng):
         refs = [rng.standard_normal(500) for _ in range(2)]
-        result = evaluate_separation([refs[1], refs[0]], refs)
+        result = evaluate_separation(refs[0], [refs[1], refs[0]], refs)
+        assert result["input_db"] == [100.0, si_sdr(refs[0], refs[1])]
         assert result["assignment"].permutation == (1, 0)
         assert result["per_speaker_db"] == [100.0, 100.0]
 
     def test_matches_manual_alignment(self, rng):
         refs = [rng.standard_normal(800) for _ in range(2)]
         ests = [refs[1] + 0.1 * rng.standard_normal(800), refs[0] + 0.3 * rng.standard_normal(800)]
-        result = evaluate_separation(ests, refs)
+        mixture = refs[0] + refs[1]
+        result = evaluate_separation(mixture, ests, refs)
+        assert result["input_db"] == [si_sdr(mixture, ref) for ref in refs]
         perm = result["assignment"].permutation
         manual = [si_sdr(ests[i], refs[perm[i]]) for i in range(2)]
         np.testing.assert_allclose(result["per_speaker_db"], manual, atol=1e-12)
@@ -451,12 +456,15 @@ class TestEvaluateSeparation:
     def test_invariant_under_simultaneous_permutation(self, rng):
         refs = [rng.standard_normal(600) for _ in range(3)]
         ests = [r + 0.2 * rng.standard_normal(600) for r in refs]
-        base = evaluate_separation(ests, refs)
+        mixture = sum(refs)
+        base = evaluate_separation(mixture, ests, refs)
         shuffled = evaluate_separation(
-            [ests[2], ests[0], ests[1]], [refs[2], refs[0], refs[1]]
+            mixture, [ests[2], ests[0], ests[1]], [refs[2], refs[0], refs[1]]
         )
         assert abs(base["mean_db"] - shuffled["mean_db"]) < 1e-12
+        assert shuffled["input_db"] == [base["input_db"][k] for k in (2, 0, 1)]
 
     def test_count_mismatch(self, rng):
+        refs = [rng.standard_normal(100)] * 2
         with pytest.raises(InputError):
-            evaluate_separation([rng.standard_normal(100)], [rng.standard_normal(100)] * 2)
+            evaluate_separation(refs[0], [rng.standard_normal(100)], refs)
