@@ -199,8 +199,10 @@ def _read_json(path, what, error, step=None):
             document = json.load(f)
     except FileNotFoundError as exc:
         raise error(f"{what} not found: {path}" + (f"; run {step} first" if step else "")) from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    except MemoryError as exc:
+        raise error(f"{what} {path}: out of memory") from exc
     if not isinstance(document, dict):
         raise error(f"{what} {path} must hold a JSON object")
     return document
@@ -258,13 +260,13 @@ def load_manifest(path):
     return manifest
 
 
-def _scene_spec(scene, manifest, base_dir, global_seed):
-    array = scene.get("geometry") or manifest["geometry"]
+def _scene_spec(scene, defaults, base_dir, global_seed):
+    array = scene.get("geometry") or defaults["geometry"]
     geometry = simulate.ArrayGeometry(
         np.asarray(array["mic_positions"], dtype=np.float64),
         float(array.get("speed_of_sound", simulate.SPEED_OF_SOUND)),
     )
-    sample_rate = int(scene.get("sample_rate", manifest.get("sample_rate", 16000)))
+    sample_rate = int(scene.get("sample_rate", defaults.get("sample_rate", 16000)))
     sources = []
     for src in scene["sources"]:
         wav = _scene_wav(base_dir / src["path"], sample_rate, 1)
@@ -305,6 +307,18 @@ def _run_scenes(config, stage):
     scenes_root = Path(config["output_dir"]) / "scenes"
     return manifest, [(scene, scenes_root / scene["id"])
                       for scene in sorted(manifest["scenes"], key=lambda s: s["id"])]
+
+
+@contextlib.contextmanager
+def _naming(before="", after=""):
+    """Re-raise a failure of the block as the error of its exit code, 3 or 4,
+    with before and after placed around its message."""
+    try:
+        yield
+    except (ConfigurationError, InputError, OSError, MemoryError) as exc:
+        raise InputError(f"{before}{str(exc) or 'out of memory'}{after}") from exc
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"{before}{exc}{after}") from exc
 
 
 def _clear_separation(scene_dir):
@@ -403,40 +417,45 @@ def cmd_simulate(config, scene_map=map):
     scene_map maps the per-scene tasks, in process unless run passes its pool."""
     manifest, scenes = _run_scenes(config, "simulate")
     Path(config["output_dir"], "scenes").mkdir(parents=True, exist_ok=True)
+    # each task carries the manifest's defaults, not every scene of it
+    defaults = {key: manifest[key] for key in ("geometry", "sample_rate") if key in manifest}
     # scenes without their own seed get a distinct deterministic one
-    args = [(scene, manifest, config["scene_manifest"], config["seed"] + i, scene_dir,
+    args = [(scene, defaults, config["scene_manifest"], config["seed"] + i, scene_dir,
              config["wav_format"]) for i, (scene, scene_dir) in enumerate(scenes)]
     list(scene_map(_simulate_one, args))
 
 
 def _simulate_one(arg):
-    scene, manifest, manifest_path, global_seed, scene_dir, fmt = arg
-    try:  # what only the simulator, the scene's WAVs or the WAV format can rule out
-        spec = _scene_spec(scene, manifest, Path(manifest_path).parent, global_seed)
+    scene, defaults, manifest_path, global_seed, scene_dir, fmt = arg
+    with _naming(before=f"scene manifest {manifest_path}: scene {scene['id']!r}: "):
+        spec = _scene_spec(scene, defaults, Path(manifest_path).parent, global_seed)
         rendered = simulate.render_scene(spec)
+        ref_mic = spec.reference_mic
+        for k, image in enumerate(rendered.source_images, start=1):
+            # ci_sdr's energy test; np.dot would wake numpy's BLAS threads to spin
+            row = image.samples[ref_mic]
+            if np.sum(row * row) == 0.0:
+                raise InputError(f"source {k} is silent at reference mic {ref_mic}")
         scene_dir.mkdir(exist_ok=True)
         _clear_separation(scene_dir)
         audio_io.write_wav(scene_dir / "mixture.wav", rendered.mixture, fmt)
         for k, image in enumerate(rendered.source_images, start=1):
             audio_io.write_wav(scene_dir / f"source_{k}.wav", image, fmt)
         audio_io.write_wav(scene_dir / "noise.wav", rendered.noise_image, fmt)
-    except (ConfigurationError, InputError, MemoryError) as exc:
-        raise InputError(f"scene manifest {manifest_path}: scene {scene['id']!r}: "
-                         f"{str(exc) or 'out of memory'}") from exc
-    # the record that _open_scene checks against SCENE_SCHEMA
-    geometry, noise = spec.geometry, spec.noise
-    record = {
-        "sample_rate": spec.sample_rate, "reference_mic": spec.reference_mic,
-        "seed": spec.seed, "mic_positions": geometry.mic_positions.tolist(),
-        "speed_of_sound": geometry.speed_of_sound,
-        "sources": [{"azimuth": src.azimuth, "elevation": src.elevation, "gain": src.gain,
-                     "delays_s": simulate.plane_wave_delays(
-                         geometry, src.azimuth, src.elevation).tolist()}
-                    for src in spec.sources],
-        "noise": None if noise is None else {"kind": noise.kind, "snr_db": noise.snr_db},
-    }
-    with open(scene_dir / "scene.json", "w", encoding="utf-8") as f:
-        json.dump(record, f, indent=2, sort_keys=True)
+        # the record that _open_scene checks against SCENE_SCHEMA
+        geometry, noise = spec.geometry, spec.noise
+        record = {
+            "sample_rate": spec.sample_rate, "reference_mic": ref_mic,
+            "seed": spec.seed, "mic_positions": geometry.mic_positions.tolist(),
+            "speed_of_sound": geometry.speed_of_sound,
+            "sources": [{"azimuth": src.azimuth, "elevation": src.elevation, "gain": src.gain,
+                         "delays_s": simulate.plane_wave_delays(
+                             geometry, src.azimuth, src.elevation).tolist()}
+                        for src in spec.sources],
+            "noise": None if noise is None else {"kind": noise.kind, "snr_db": noise.snr_db},
+        }
+        with open(scene_dir / "scene.json", "w", encoding="utf-8") as f:
+            json.dump(record, f, indent=2, sort_keys=True)
 
 
 def _open_scene(scene_dir):
@@ -506,34 +525,27 @@ def cmd_separate(config, scene_map=map):
 
 def _separate_one(arg):
     scene_dir, config, stft_config = arg
-    _clear_separation(scene_dir)
-    record, mixture = _open_scene(scene_dir)
-    ref_mic = record["reference_mic"]
-    method = config["separator"]["method"]
-    mask_set = _scene_masks(scene_dir, config, stft_config, ref_mic, len(record["sources"]),
-                            mixture)
+    with _naming(after=f", separating {scene_dir / 'mixture.wav'}"):
+        _clear_separation(scene_dir)
+        record, mixture = _open_scene(scene_dir)
+        ref_mic = record["reference_mic"]
+        method = config["separator"]["method"]
+        mask_set = _scene_masks(scene_dir, config, stft_config, ref_mic,
+                                len(record["sources"]), mixture)
 
-    fmt = config["wav_format"]
-    # looked up per call, so a patched module attribute is the one called;
-    # load_config admits only SEPARATION_METHODS
-    separate = beamform.separate_mvdr if method == "mvdr" else masks.separate_masking
-    try:
+        fmt = config["wav_format"]
+        # looked up per call, so a patched module attribute is the one called;
+        # load_config admits only SEPARATION_METHODS
+        separate = beamform.separate_mvdr if method == "mvdr" else masks.separate_masking
         estimates, flags = separate(mixture, mask_set, stft_config, ref_mic)
         for k, est in enumerate(estimates, start=1):  # all checked before the first write
             if fmt == "float32" and not audio_io.fits_float32(est.samples):
                 raise NumericalError(f"est_{k}.wav: samples beyond the float32 range "
                                      f"(|x| > {audio_io.FLOAT32_MAX:.6g})")
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        # what failed, then the input it failed on
-        raise NumericalError(f"{exc}, separating {scene_dir / 'mixture.wav'}") from exc
-    except MemoryError as exc:
-        raise InputError(f"{str(exc) or 'out of memory'}, "
-                         f"separating {scene_dir / 'mixture.wav'}") from exc
-
-    for k, est in enumerate(estimates, start=1):
-        audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
-    with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
-        json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
+        for k, est in enumerate(estimates, start=1):
+            audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
+        with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
+            json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
 
 
 def cmd_evaluate(config, scene_map=map):
@@ -573,35 +585,30 @@ def cmd_evaluate(config, scene_map=map):
 
 def _evaluate_one(arg):
     scene_dir, config, metric_name, metric_config = arg
-    started = time.monotonic()
-    record, mixture = _open_scene(scene_dir)
-    ref_mic = record["reference_mic"]
+    with _naming(after=f", scoring {scene_dir}"):
+        started = time.monotonic()
+        record, mixture = _open_scene(scene_dir)
+        ref_mic = record["reference_mic"]
 
-    # reported as written; the scene's layout names the estimates
-    flags = _read_json(scene_dir / "flags.json", "flags file", InputError, "separate")
-    sources = range(1, len(record["sources"]) + 1)
-    references = [_scene_wav(scene_dir / f"source_{k}.wav", mixture.sample_rate,
-                             *mixture.samples.shape).channel(ref_mic) for k in sources]
-    estimates = [_scene_wav(scene_dir / f"est_{k}.wav", mixture.sample_rate, 1,
-                            mixture.num_samples).channel(0) for k in sources]
-
-    try:
+        # reported as written; the scene's layout names the estimates
+        flags = _read_json(scene_dir / "flags.json", "flags file", InputError, "separate")
+        sources = range(1, len(record["sources"]) + 1)
+        references = [_scene_wav(scene_dir / f"source_{k}.wav", mixture.sample_rate,
+                                 *mixture.samples.shape).channel(ref_mic) for k in sources]
+        estimates = [_scene_wav(scene_dir / f"est_{k}.wav", mixture.sample_rate, 1,
+                                mixture.num_samples).channel(0) for k in sources]
         result = metrics.evaluate_separation(mixture.channel(ref_mic), estimates, references,
                                              metric_name, metric_config)
-    except (InputError, MemoryError) as exc:
-        raise InputError(f"{str(exc) or 'out of memory'}, scoring {scene_dir}") from exc
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"{exc}, scoring {scene_dir}") from exc
-    return {
-        "scene_id": scene_dir.name,
-        "metric": metric_name,
-        "input_db": result["input_db"],
-        "output_db": result["per_speaker_db"],
-        "mean_output_db": result["mean_db"],
-        "assignment": list(result["assignment"].permutation),
-        "flags": flags,
-        "timing_s": time.monotonic() - started,
-    }
+        return {
+            "scene_id": scene_dir.name,
+            "metric": metric_name,
+            "input_db": result["input_db"],
+            "output_db": result["per_speaker_db"],
+            "mean_output_db": result["mean_db"],
+            "assignment": list(result["assignment"].permutation),
+            "flags": flags,
+            "timing_s": time.monotonic() - started,
+        }
 
 
 def render_table(records, report, metric_name):
@@ -664,7 +671,7 @@ def main(argv=None):
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

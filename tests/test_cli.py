@@ -2,6 +2,7 @@ import copy
 import ctypes
 import json
 import os
+import pickle
 import re
 import resource
 import shutil
@@ -183,6 +184,28 @@ class TestConfig:
         flag = "--config" if document == "config" else "--scene-manifest"
         assert cli.main([flag, str(bad), "--output-dir", str(tmp_path / "out")]) == code
         assert f"{bad} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document, code", [("config", cli.EXIT_CONFIG),
+                                                ("manifest", cli.EXIT_INPUT)])
+    def test_json_nested_too_deep_exit_code(self, document, code, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        depth = 200_000
+        deep.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
+        flag = "--config" if document == "config" else "--scene-manifest"
+        assert cli.main([flag, str(deep), "--command", "simulate",
+                         "--output-dir", str(tmp_path / "out")]) == code
+        assert f"{deep} is not valid JSON" in capsys.readouterr().err
+
+    def test_manifest_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        monkeypatch.setattr(json, "load", out_of_memory)
+        assert cli.main(["--scene-manifest", str(manifest), "--command", "simulate",
+                         "--output-dir", str(tmp_path / "out")]) == cli.EXIT_INPUT
+        assert (f"input error: scene manifest {manifest}: out of memory\n"
+                in capsys.readouterr().err)
 
     def test_null_fft_size_follows_window_length(self, tmp_path):
         path = tmp_path / "config.json"
@@ -480,6 +503,29 @@ class TestSimulate:
                 "seed": scene.get("seed", 7 + index), "mic_positions": mic_positions,
                 "speed_of_sound": simulate.SPEED_OF_SOUND, "noise": scene.get("noise")}
 
+    def test_task_size_does_not_grow_with_the_manifest(self, tmp_path):
+        """Each simulate task carries the manifest's defaults, not its scenes;
+        loading the manifest opens no dry WAV, so none is written."""
+        sizes = []
+        for base, num_scenes in (("a", 2), ("b", 200)):
+            manifest = tmp_path / base / "manifest.json"
+            manifest.parent.mkdir()
+            manifest.write_text(json.dumps({
+                "sample_rate": FS, "geometry": {"mic_positions": [[0.0, 0.0, 0.0]]},
+                "scenes": [{"id": f"scene_{i:04d}", "sources": [{"path": "dry.wav",
+                                                                "azimuth": 0.0}]}
+                           for i in range(num_scenes)]}))
+            tasks = []
+
+            def recording_map(fn, items):
+                tasks.extend(items)
+                return []
+
+            cli.cmd_simulate(base_config(manifest, tmp_path / base / "out"), recording_map)
+            assert len(tasks) == num_scenes
+            sizes.append(len(pickle.dumps(tasks[0])))
+        assert sizes[0] == sizes[1]
+
     def test_manifest_scene_missing_key_exit_code(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=2)
         content = json.loads(manifest.read_text())
@@ -615,8 +661,12 @@ class TestSimulate:
          "Is a directory"),
         (None, None, None, {"sources": [{"path": "dry/s0_0.wav", "azimuth": 0.3, "gain": 1e40}]},
          "mixture.wav: samples beyond the float32 range"),
+        (None, None, None, {"sources": [{"path": "dry/s0_0.wav", "azimuth": 0.3},
+                                        {"path": "dry/s0_0.wav", "azimuth": 1.5, "gain": 0.0}]},
+         "source 2 is silent at reference mic 0"),
     ], ids=["noise-too-short", "source-rate", "source-stereo", "noise-half-rate",
-            "zero-power-sources", "noise-path-is-a-directory", "gain-beyond-float32"])
+            "zero-power-sources", "noise-path-is-a-directory", "gain-beyond-float32",
+            "muted-source"])
     def test_render_error_names_manifest_and_scene(self, wav, samples, rate, entry, fragment,
                                                    tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=1, num_sources=1)
@@ -884,20 +934,22 @@ class TestEvaluate:
         assert record["output_db"] == result["per_speaker_db"]
         assert record["assignment"] == list(result["assignment"].permutation)
 
-    @pytest.mark.parametrize("metric, seconds, gain, message", [
-        ("si_sdr", 0.5, 0.0, "reference signal is all-zero"),
-        ("ci_sdr", 0.5, 0.0, "reference signal is all-zero"),
-        ("ci_sdr", 0.025, 1.0, "signals of length 400 shorter than the 512-tap filter"),
+    @pytest.mark.parametrize("metric, seconds, silent, message", [
+        ("si_sdr", 0.5, True, "reference signal is all-zero"),
+        ("ci_sdr", 0.5, True, "reference signal is all-zero"),
+        ("ci_sdr", 0.025, False, "signals of length 400 shorter than the 512-tap filter"),
     ], ids=["si_sdr-silent-source", "ci_sdr-silent-source", "ci_sdr-shorter-than-taps"])
-    def test_scoring_error_names_the_scene(self, metric, seconds, gain, message, tmp_path,
+    def test_scoring_error_names_the_scene(self, metric, seconds, silent, message, tmp_path,
                                            capsys):
         manifest = write_manifest(tmp_path, num_scenes=1, seconds=seconds)
-        content = json.loads(manifest.read_text())
-        content["scenes"][0]["sources"][1]["gain"] = gain
-        manifest.write_text(json.dumps(content))
         config = base_config(manifest, tmp_path / "out", metric={"name": metric})
-        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
         scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        command = "run-all"
+        if silent:  # simulate rejects a silent source, so silence a rendered one
+            assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+            edit_wav("source_2.wav", lambda rate, data: (rate, np.zeros_like(data)))(scene_dir)
+            command = "evaluate"
+        assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
         assert f"input error: {message}, scoring {scene_dir}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error, code, prefix", [
@@ -1165,6 +1217,26 @@ class TestRunAll:
         assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
         assert f"input error: {named}" in capsys.readouterr().err
         assert not list(scene_dir.glob("est_*.wav")) and not (scene_dir / "flags.json").exists()
+
+    @pytest.mark.parametrize("command, module, name, error, message", [
+        ("separate", audio_io, "read_wav", MemoryError(), "out of memory"),
+        ("evaluate", audio_io, "read_wav", MemoryError(), "out of memory"),
+        ("separate", beamform, "separate_mvdr", cli.InputError("no mask mass"), "no mask mass"),
+    ], ids=["separate-reading", "evaluate-reading", "separator-input-error"])
+    def test_stage_failure_names_the_scene(self, command, module, name, error, message,
+                                           tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise error
+
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out", jobs=1)
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        monkeypatch.setattr(module, name, failing)
+        assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        where = (f"separating {scene_dir / 'mixture.wav'}" if command == "separate"
+                 else f"scoring {scene_dir}")
+        assert capsys.readouterr().err == f"input error: {message}, {where}\n"
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=3)
