@@ -110,7 +110,7 @@ _GEOMETRY = {
 MANIFEST_SCHEMA = {
     "sample_rate": _Key(int, rule=_ABOVE_0),
     "geometry": _Key(dict, required=True, keys=_GEOMETRY),
-    "scenes": _Key(list, required=True, items={
+    "scenes": _Key(list, required=True, rule=_NON_EMPTY, items={
         "id": _Key(str, required=True, rule=(
             (lambda i: i not in ("", ".", "..") and not any(c in i for c in "/\\\0")),
             "one path component")),
@@ -431,9 +431,11 @@ def _simulate_one(arg):
         spec = _scene_spec(scene, defaults, Path(manifest_path).parent, global_seed)
         rendered = simulate.render_scene(spec)
         ref_mic = spec.reference_mic
+        # checked on the samples as written, the mixture's range first
+        audio_io.quantize(rendered.mixture.samples, fmt, "mixture.wav: ")
         for k, image in enumerate(rendered.source_images, start=1):
             # ci_sdr's energy test; np.dot would wake numpy's BLAS threads to spin
-            row = image.samples[ref_mic]
+            row = audio_io.quantize(image.samples[ref_mic], fmt, f"source_{k}.wav: ")
             if np.sum(row * row) == 0.0:
                 raise InputError(f"source {k} is silent at reference mic {ref_mic}")
         scene_dir.mkdir(exist_ok=True)
@@ -539,9 +541,10 @@ def _separate_one(arg):
         separate = beamform.separate_mvdr if method == "mvdr" else masks.separate_masking
         estimates, flags = separate(mixture, mask_set, stft_config, ref_mic)
         for k, est in enumerate(estimates, start=1):  # all checked before the first write
-            if fmt == "float32" and not audio_io.fits_float32(est.samples):
-                raise NumericalError(f"est_{k}.wav: samples beyond the float32 range "
-                                     f"(|x| > {audio_io.FLOAT32_MAX:.6g})")
+            try:
+                audio_io.quantize(est.samples, fmt, f"est_{k}.wav: ")
+            except InputError as exc:  # a sample beyond the float32 range
+                raise NumericalError(str(exc)) from exc
         for k, est in enumerate(estimates, start=1):
             audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
         with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
@@ -554,7 +557,7 @@ def cmd_evaluate(config, scene_map=map):
     _, scenes = _run_scenes(config, "evaluate")
     metric_name = config["metric"]["name"]
     metric_config = _metric_config(config)
-    args = [(d, config, metric_name, metric_config) for _, d in scenes]
+    args = [(d, metric_name, metric_config) for _, d in scenes]
     records = list(scene_map(_evaluate_one, args))
 
     all_scores = [s for r in records for s in r["output_db"]]
@@ -564,11 +567,9 @@ def cmd_evaluate(config, scene_map=map):
         "config": config,
         "aggregate": {
             "num_scenes": len(records),
-            "mean_output_db": float(np.mean(all_scores)) if all_scores else None,
-            "mean_input_db": float(np.mean(all_inputs)) if all_inputs else None,
-            "mean_improvement_db": float(np.mean(all_scores) - np.mean(all_inputs))
-            if all_scores
-            else None,
+            "mean_output_db": float(np.mean(all_scores)),
+            "mean_input_db": float(np.mean(all_inputs)),
+            "mean_improvement_db": float(np.mean(all_scores) - np.mean(all_inputs)),
         },
     }
     out_dir = Path(config["output_dir"])
@@ -584,7 +585,7 @@ def cmd_evaluate(config, scene_map=map):
 
 
 def _evaluate_one(arg):
-    scene_dir, config, metric_name, metric_config = arg
+    scene_dir, metric_name, metric_config = arg
     with _naming(after=f", scoring {scene_dir}"):
         started = time.monotonic()
         record, mixture = _open_scene(scene_dir)
@@ -624,10 +625,7 @@ def render_table(records, report, metric_name):
             f"{str(r['assignment']):>14}"
         )
     agg = report["aggregate"]
-    if agg["mean_output_db"] is not None:
-        lines.append(
-            f"{'mean':<24}{agg['mean_input_db']:>12.2f}{agg['mean_output_db']:>12.2f}"
-        )
+    lines.append(f"{'mean':<24}{agg['mean_input_db']:>12.2f}{agg['mean_output_db']:>12.2f}")
     return "\n".join(lines) + "\n"
 
 

@@ -438,6 +438,54 @@ class TestAudioIo:
         assert read.samples.flags.c_contiguous
         np.testing.assert_allclose(read.samples, samples, atol=1.0 / 32768.0)
 
+    @staticmethod
+    def assert_quantize_reads_back(samples, fmt, path):
+        """quantize(samples, fmt) is, bit for bit, what a WAV of fmt reads back as."""
+        audio_io.write_wav(path, audio_io.MultichannelWaveform(samples, FS), fmt)
+        read = audio_io.read_wav(path).samples
+        quantized = audio_io.quantize(np.atleast_2d(samples), fmt)
+        assert quantized.dtype == np.float64
+        assert np.array_equal(quantized, read)
+        assert np.array_equal(np.signbit(quantized), np.signbit(read))
+
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    def test_quantize_equals_the_written_samples_at_edge_values(self, fmt, tmp_path):
+        edges = [1.0, -1.0, 32767.0 / 32768.0, 0.5 / 32768.0, 1.5 / 32768.0, -0.5 / 32768.0,
+                 -1.5 / 32768.0, -0.0, 1e-40, 1e-50, -1e-50, audio_io.FLOAT32_MAX,
+                 -audio_io.FLOAT32_MAX]
+        self.assert_quantize_reads_back(np.array(edges), fmt, tmp_path / "x.wav")
+
+    def test_quantize_pcm16_clips_and_rounds_half_to_even(self):
+        samples = np.array([2.0, -2.0, 0.5 / 32768.0, 1.5 / 32768.0, -0.5 / 32768.0])
+        assert np.array_equal(audio_io.quantize(samples, "pcm16"),
+                              [32767.0 / 32768.0, -1.0, 0.0, 2.0 / 32768.0, 0.0])
+
+    def test_quantize_beyond_float32_raises(self, tmp_path):
+        beyond = np.array([0.0, np.nextafter(audio_io.FLOAT32_MAX, np.inf)])
+        for samples in (beyond, -beyond):
+            with pytest.raises(audio_io.InputError,
+                               match=r"^est_1\.wav: samples beyond the float32 range"):
+                audio_io.quantize(samples, "float32", "est_1.wav: ")
+            with pytest.raises(audio_io.InputError, match="x.wav: samples beyond the float32"):
+                audio_io.write_wav(tmp_path / "x.wav", audio_io.MultichannelWaveform(samples, FS))
+        assert not (tmp_path / "x.wav").exists()
+        # pcm16 clips instead
+        assert audio_io.quantize(beyond, "pcm16")[1] == 32767.0 / 32768.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fmt=st.sampled_from(audio_io.WAV_FORMATS), data=st.data())
+    def test_quantize_equals_the_written_samples(self, fmt, data, tmp_path):
+        sample = st.one_of(
+            st.floats(-audio_io.FLOAT32_MAX, audio_io.FLOAT32_MAX),
+            st.floats(-2.0, 2.0),
+            st.integers(-70000, 70000).map(lambda n: n / 65536.0),  # pcm16 steps and ties
+        )
+        shape = data.draw(st.tuples(st.integers(1, 2), st.integers(1, 64)))
+        samples = np.array(data.draw(st.lists(sample, min_size=shape[0] * shape[1],
+                                              max_size=shape[0] * shape[1])))
+        self.assert_quantize_reads_back(samples.reshape(shape), fmt, tmp_path / "x.wav")
+
 
 class TestSimulate:
     def test_single_source_noiseless_mixture_equals_image(self, tmp_path):
@@ -557,6 +605,7 @@ class TestSimulate:
         (LAST, {"noise": False}, "noise"),
         (LAST, {"noise": {}}, "noise"),
         ((*LAST, "noise"), {"snr_db": 1e10}, "snr_db"),
+        ((), {"scenes": []}, "scenes"),
     ])
     def test_bad_manifest_value_exit_code(self, path, value, key, tmp_path, capsys):
         """A bad value in the scene that renders last, or at the top level,
@@ -681,6 +730,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert str(manifest) in err and "'scene_0000'" in err and fragment in err
+
+    @pytest.mark.parametrize("fmt, gain", [("pcm16", 1e-7), ("float32", 1e-50)])
+    def test_source_silent_as_written_exit_code(self, fmt, gain, tmp_path, capsys):
+        """A source that renders non-silent but quantizes to zeros at the
+        reference mic in the scene's WAV format fails at simulate, before
+        its scene directory is made."""
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        content = json.loads(manifest.read_text())
+        content["scenes"][0]["sources"][1]["gain"] = gain
+        manifest.write_text(json.dumps(content))
+        config = {"scene_manifest": str(manifest), "output_dir": str(tmp_path / "out"),
+                  "wav_format": fmt}
+        assert run_main(tmp_path, config, "simulate") == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert str(manifest) in err and "'scene_0000'" in err
+        assert "source 2 is silent at reference mic 0" in err
+        assert not (tmp_path / "out" / "scenes" / "scene_0000").exists()
 
     def test_missing_manifest_exit_code(self, tmp_path):
         code = cli.main(
