@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, audio_io, beamform, masks, metrics, simulate
-from .dsp import StftConfig, stft  # noqa: F401  (perfbench traces the cli.stft binding)
+from .dsp import MultichannelWaveform, StftConfig, stft  # noqa: F401  (perfbench traces cli.stft)
 from .errors import ConfigurationError, InputError, NumericalError
 
 EXIT_OK = 0
@@ -347,8 +347,9 @@ def _bundled_openblas():
 
 
 def _keep_heap():
-    """Pool worker initializer: keep the scene's arrays on the heap, and the
-    heap in the worker, from one scene to the next.
+    """Keep the scene's arrays on the heap, and the heap in the process, from
+    one scene to the next: the pool workers' initializer, and main's first
+    step (as _keep_process_heap).
 
     By default glibc mmaps every array above its (adaptive) mmap threshold
     and trims the heap top after each scene, so a worker faults in about
@@ -356,8 +357,10 @@ def _keep_heap():
     316k minor faults, and 24.7k with both settings. Each alone is worse
     than neither (405k faults with the mmap threshold, 720k with the trim
     threshold), so the trim threshold is set only once the mmap threshold
-    took. Where libc has no mallopt, or refuses a value, nothing changes;
-    an initializer that raised would break the pool.
+    took. A jobs-1 run-all of 4 pilot scenes took 16.9k faults on the
+    defaults. The process may afterwards hold up to the trim threshold,
+    512 MiB, of freed heap. Where libc has no mallopt, or refuses a value,
+    nothing changes; an initializer that raised would break the pool.
     """
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -369,6 +372,11 @@ def _keep_heap():
     for param, value in WORKER_MALLOPT:
         if mallopt(param, value) == 0:
             return
+
+
+# the call that keeps main's heap: its own name, so the tests can stub it
+# and leave the test process's allocator, which the pool workers inherit, alone
+_keep_process_heap = _keep_heap
 
 
 @contextlib.contextmanager
@@ -384,8 +392,8 @@ def _scene_pool(jobs):
     the same cores. The forked workers inherit the caps (setting one inside a
     fresh worker instead starts an idle, spinning BLAS thread); the parent's
     own counts are restored once the pool has shut down. Each worker keeps
-    its heap between scenes (_keep_heap); the parent's allocator is left as
-    it is.
+    its heap between scenes (_keep_heap); the pool leaves the parent's
+    allocator as it is.
     """
     pool = None
     restore = []  # (set, the parent's count) of each capped copy
@@ -431,19 +439,24 @@ def _simulate_one(arg):
         spec = _scene_spec(scene, defaults, Path(manifest_path).parent, global_seed)
         rendered = simulate.render_scene(spec)
         ref_mic = spec.reference_mic
-        # checked on the samples as written, the mixture's range first
-        audio_io.quantize(rendered.mixture.samples, fmt, "mixture.wav: ")
-        for k, image in enumerate(rendered.source_images, start=1):
-            # ci_sdr's energy test; np.dot would wake numpy's BLAS threads to spin
-            row = audio_io.quantize(image.samples[ref_mic], fmt, f"source_{k}.wav: ")
-            if np.sum(row * row) == 0.0:
+        # every file is checked as stored before the first write, the
+        # mixture's range first; each waveform is encoded once, and its
+        # float64 samples are let go as soon as it is
+        names = ["mixture.wav", *(f"source_{k}.wav" for k in range(1, len(spec.sources) + 1)),
+                 "noise.wav"]
+        waveforms = [rendered.mixture, *rendered.source_images, rendered.noise_image]
+        del rendered
+        stored = []
+        for name in names:  # popped, so nothing holds a waveform once it is encoded
+            stored.append(audio_io.encode(waveforms.pop(0), fmt, f"{name}: "))
+        for k, source in enumerate(stored[1:-1], start=1):
+            # ci_sdr's energy test, which a row passes iff a stored sample is not 0
+            if not np.any(source.data[ref_mic]):
                 raise InputError(f"source {k} is silent at reference mic {ref_mic}")
         scene_dir.mkdir(exist_ok=True)
         _clear_separation(scene_dir)
-        audio_io.write_wav(scene_dir / "mixture.wav", rendered.mixture, fmt)
-        for k, image in enumerate(rendered.source_images, start=1):
-            audio_io.write_wav(scene_dir / f"source_{k}.wav", image, fmt)
-        audio_io.write_wav(scene_dir / "noise.wav", rendered.noise_image, fmt)
+        for name, waveform in zip(names, stored):
+            audio_io.write_wav(scene_dir / name, waveform)
         # the record that _open_scene checks against SCENE_SCHEMA
         geometry, noise = spec.geometry, spec.noise
         record = {
@@ -460,10 +473,11 @@ def _simulate_one(arg):
             json.dump(record, f, indent=2, sort_keys=True)
 
 
-def _open_scene(scene_dir):
+def _open_scene(scene_dir, reference_only=False):
     """(scene.json, mixture.wav) of a simulated scene, each read once and
     checked: the record against SCENE_SCHEMA with its reference_mic one of
-    its mics, the mixture at the record's rate with one channel per mic."""
+    its mics, the mixture at the record's rate with one channel per mic. With
+    reference_only, only the mixture's reference_mic row is decoded."""
     path = scene_dir / "scene.json"
     record = _read_json(path, "scene file", InputError, "simulate")
     _check(record, SCENE_SCHEMA, "", f"scene file {path}", InputError)
@@ -471,15 +485,18 @@ def _open_scene(scene_dir):
     if record["reference_mic"] >= num_mics:
         raise InputError(f"scene file {path}: 'reference_mic' must be below the scene's "
                          f"{num_mics} mics, got {record['reference_mic']}")
-    return record, _scene_wav(scene_dir / "mixture.wav", record["sample_rate"], num_mics)
+    rows = [record["reference_mic"]] if reference_only else None
+    return record, _scene_wav(scene_dir / "mixture.wav", record["sample_rate"], num_mics,
+                              rows=rows)
 
 
-def _scene_wav(path, sample_rate, channels=None, length=None):
+def _scene_wav(path, sample_rate, channels=None, length=None, rows=None):
     """The WAV file at path, which must hold channels x length samples (any
-    count of either that is None) at sample_rate."""
-    wav = audio_io.read_wav(path)
-    found = (wav.num_channels, wav.num_samples, wav.sample_rate)
-    wanted = (wav.num_channels if channels is None else channels,
+    count of either that is None) at sample_rate; of them only the channel
+    indices rows are decoded, or every channel when rows is None."""
+    wav = audio_io.read_wav(path, rows)
+    found = (wav.file_channels, wav.num_samples, wav.sample_rate)
+    wanted = (wav.file_channels if channels is None else channels,
               wav.num_samples if length is None else length, sample_rate)
     if found != wanted:
         raise InputError("{}: {} channels x {} samples at {} Hz, where the scene has "
@@ -510,11 +527,13 @@ def _scene_masks(scene_dir, config, stft_config, ref_mic, num_sources, mixture):
                              f"STFT grid {grid}")
         return mask_set
 
+    # the masks see only the reference row of each image and of the mixture
     names = [*(f"source_{k}.wav" for k in range(1, num_sources + 1)), "noise.wav"]
-    images = [_scene_wav(scene_dir / name, mixture.sample_rate, *mixture.samples.shape)
-              for name in names]
+    images = [_scene_wav(scene_dir / name, mixture.sample_rate, *mixture.samples.shape,
+                         rows=[ref_mic]) for name in names]
+    reference = MultichannelWaveform(mixture.channel(ref_mic), mixture.sample_rate)
     return masks.oracle_mask_from_waveforms(
-        mixture, images, sep["mask_oracle_kind"], stft_config, ref_mic
+        reference, images, sep["mask_oracle_kind"], stft_config, 0
     )
 
 
@@ -540,13 +559,13 @@ def _separate_one(arg):
         # load_config admits only SEPARATION_METHODS
         separate = beamform.separate_mvdr if method == "mvdr" else masks.separate_masking
         estimates, flags = separate(mixture, mask_set, stft_config, ref_mic)
-        for k, est in enumerate(estimates, start=1):  # all checked before the first write
-            try:
-                audio_io.quantize(est.samples, fmt, f"est_{k}.wav: ")
-            except InputError as exc:  # a sample beyond the float32 range
-                raise NumericalError(str(exc)) from exc
-        for k, est in enumerate(estimates, start=1):
-            audio_io.write_wav(scene_dir / f"est_{k}.wav", est, fmt)
+        try:  # all checked, as stored, before the first write
+            stored = [audio_io.encode(est, fmt, f"est_{k}.wav: ")
+                      for k, est in enumerate(estimates, start=1)]
+        except InputError as exc:  # a sample beyond the float32 range
+            raise NumericalError(str(exc)) from exc
+        for k, est in enumerate(stored, start=1):
+            audio_io.write_wav(scene_dir / f"est_{k}.wav", est)
         with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
             json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
 
@@ -588,17 +607,18 @@ def _evaluate_one(arg):
     scene_dir, metric_name, metric_config = arg
     with _naming(after=f", scoring {scene_dir}"):
         started = time.monotonic()
-        record, mixture = _open_scene(scene_dir)
-        ref_mic = record["reference_mic"]
+        # every file is checked whole, but only reference rows are decoded
+        record, mixture = _open_scene(scene_dir, reference_only=True)
+        ref_mic, rate, length = record["reference_mic"], mixture.sample_rate, mixture.num_samples
 
         # reported as written; the scene's layout names the estimates
         flags = _read_json(scene_dir / "flags.json", "flags file", InputError, "separate")
         sources = range(1, len(record["sources"]) + 1)
-        references = [_scene_wav(scene_dir / f"source_{k}.wav", mixture.sample_rate,
-                                 *mixture.samples.shape).channel(ref_mic) for k in sources]
-        estimates = [_scene_wav(scene_dir / f"est_{k}.wav", mixture.sample_rate, 1,
-                                mixture.num_samples).channel(0) for k in sources]
-        result = metrics.evaluate_separation(mixture.channel(ref_mic), estimates, references,
+        references = [_scene_wav(scene_dir / f"source_{k}.wav", rate, mixture.file_channels,
+                                 length, rows=[ref_mic]).channel(0) for k in sources]
+        estimates = [_scene_wav(scene_dir / f"est_{k}.wav", rate, 1, length).channel(0)
+                     for k in sources]
+        result = metrics.evaluate_separation(mixture.channel(0), estimates, references,
                                              metric_name, metric_config)
         return {
             "scene_id": scene_dir.name,
@@ -658,6 +678,9 @@ def build_parser():
 
 
 def main(argv=None):
+    """The sepfront command. Its process keeps its heap (_keep_heap), at any
+    jobs; run and the library leave the allocator to their caller."""
+    _keep_process_heap()
     # each flag's dest is its config key, so the flags are the overrides
     args = vars(build_parser().parse_args(argv))
     try:

@@ -81,25 +81,27 @@ def oracle_mask(images, kind, mixture):
         raise InputError("need at least one source image plus the noise image")
 
     shape = mixture.bins.shape
-    stack = []
-    for image in images:
-        if image.bins.shape != shape:
-            raise InputError("all reference spectrograms must match the mixture shape")
-        stack.append(image.bins[0])
-    refs = np.stack(stack)  # (K+1, T, F)
-    mix = mixture.bins[0]
+    if any(image.bins.shape != shape for image in images):
+        raise InputError("all reference spectrograms must match the mixture shape")
 
+    if kind == "psm":
+        mix = mixture.bins[0]
+        refs = np.stack([image.bins[0] for image in images])  # (K+1, T, F)
+        proj = np.real(refs * np.conj(mix))
+        masks = np.clip(proj / (np.abs(mix) ** 2 + MASK_EPS), 0.0, 1.0)
+        return MaskSet(masks, len(images) - 1)
+
+    # ibm and irm need only magnitudes, taken one stream at a time
+    mags = np.empty((len(images), *shape[1:]))
+    for stream, image in zip(mags, images):
+        np.abs(image.bins[0], out=stream)
     if kind == "ibm":
-        mags = np.abs(refs)
         winner = np.argmax(mags, axis=0)  # first max wins: lowest stream index
         masks = (winner[np.newaxis] == np.arange(len(images))[:, None, None])
         masks = masks.astype(np.float64)
-    elif kind == "irm":
-        mags = np.abs(refs)
-        masks = mags / (mags.sum(axis=0) + MASK_EPS)
-    else:  # psm
-        proj = np.real(refs * np.conj(mix))
-        masks = np.clip(proj / (np.abs(mix) ** 2 + MASK_EPS), 0.0, 1.0)
+    else:  # irm
+        masks = mags
+        masks /= mags.sum(axis=0) + MASK_EPS
 
     return MaskSet(masks, len(images) - 1)
 

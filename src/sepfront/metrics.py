@@ -106,7 +106,7 @@ def si_sdr(estimate, reference, config=MetricConfig()):
 # reference, block length, the conjugated spectra of the reference's blocks,
 # the ridge, the Cholesky factor of its ridged Gram matrix); a scene
 # scores every estimate against one reference before it moves to the next, so
-# each reference's system is built once
+# each reference's system is built once; score_matrix lets it go when done
 _last_system = None
 
 # below this share of the estimate's energy, the error energy that the normal
@@ -259,15 +259,21 @@ def score_matrix(estimates, references, metric="si_sdr", config=MetricConfig()):
     """(E, R) matrix of metric(estimates[i], references[j], config) in dB.
 
     It is filled one reference at a time, so CI-SDR builds each reference's
-    system once for all the estimates scored against it.
+    system once for all the estimates scored against it. The last system is
+    let go when the matrix is done: kept past the scene, its 3 MB (at 512
+    taps) sat amid the heap that the next scene's arrays reuse.
     """
+    global _last_system
     if metric not in METRIC_FUNCTIONS:
         raise InputError(f"unknown metric: {metric!r}")
     metric_fn = METRIC_FUNCTIONS[metric]
     scores = np.empty((len(estimates), len(references)), dtype=np.float64)
-    for j, reference in enumerate(references):
-        for i, estimate in enumerate(estimates):
-            scores[i, j] = metric_fn(estimate, reference, config)
+    try:
+        for j, reference in enumerate(references):
+            for i, estimate in enumerate(estimates):
+                scores[i, j] = metric_fn(estimate, reference, config)
+    finally:
+        _last_system = None
     return scores
 
 

@@ -199,14 +199,16 @@ def render_scene(spec):
         delays = plane_wave_delays(geometry, src.azimuth, src.elevation)
         image = np.empty((num_mics, length), dtype=np.float64)
         for m in range(num_mics):
-            image[m] = src.gain * fractional_delay(dry, delays[m] * fs)
+            np.multiply(src.gain, fractional_delay(dry, delays[m] * fs), out=image[m])
         source_images.append(MultichannelWaveform(image, fs))
 
+    # sums in place give the bits of speech + image and speech + noise
     speech = np.zeros((num_mics, length), dtype=np.float64)
     for image in source_images:
-        speech = speech + image.samples
+        speech += image.samples
     noise_image = _render_noise(spec, speech)
-    mixture = speech + noise_image.samples
+    mixture = speech
+    mixture += noise_image.samples
     return SceneOutput(
         mixture=MultichannelWaveform(mixture, fs),
         source_images=tuple(source_images),
@@ -237,10 +239,11 @@ def _render_noise(spec, speech):
             )
         if raw.shape[1] < length:
             raise InputError("noise recording shorter than the scene")
-        raw = raw[:, :length]
+        raw = np.array(raw[:, :length])  # this call's own copy, scaled in place
 
     noise_power = float(np.mean(raw[spec.reference_mic] ** 2))
     if noise_power == 0.0:
         raise InputError("noise signal has zero power at the reference mic")
     scale = np.sqrt(signal_power / (noise_power * 10.0 ** (spec.noise.snr_db / 10.0)))
-    return MultichannelWaveform(raw * scale, spec.sample_rate)
+    raw *= scale
+    return MultichannelWaveform(raw, spec.sample_rate)

@@ -83,9 +83,9 @@ def recorded_reads(monkeypatch):
     reads = []
     read_wav = audio_io.read_wav
 
-    def recording_read_wav(path):
+    def recording_read_wav(path, rows=None):
         reads.append(path)
-        return read_wav(path)
+        return read_wav(path, rows)
 
     monkeypatch.setattr(audio_io, "read_wav", recording_read_wav)
     return reads
@@ -471,6 +471,45 @@ class TestAudioIo:
         assert not (tmp_path / "x.wav").exists()
         # pcm16 clips instead
         assert audio_io.quantize(beyond, "pcm16")[1] == 32767.0 / 32768.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    def test_non_finite_sample_is_named(self, fmt, value):
+        """Neither format stores a NaN or an Inf: float32 would keep it, and
+        pcm16 would store a NaN as 0 and an Inf as full scale."""
+        samples = np.array([[0.0, 0.5], [0.25, value]])
+        with pytest.raises(audio_io.InputError, match=r"^est_1\.wav: non-finite sample"):
+            audio_io.quantize(samples, fmt, "est_1.wav: ")
+
+    # WAV data, samples x channels, of each sample type read_wav decodes
+    WAV_DATA = {
+        "pcm16": lambda rng: rng.integers(-32768, 32768, (500, 3)).astype(np.int16),
+        "int32": lambda rng: rng.integers(-2 ** 31, 2 ** 31, (500, 3)).astype(np.int32),
+        "float32": lambda rng: rng.uniform(-1.0, 1.0, (500, 3)).astype(np.float32),
+        "float64": lambda rng: rng.uniform(-1.0, 1.0, (500, 3)),
+        "mono": lambda rng: rng.uniform(-1.0, 1.0, 500).astype(np.float32),
+    }
+
+    @pytest.mark.parametrize("kind", list(WAV_DATA))
+    def test_read_rows_are_the_rows_of_the_whole_read(self, kind, rng, tmp_path):
+        path = tmp_path / "x.wav"
+        wavfile.write(path, FS, self.WAV_DATA[kind](rng))
+        whole = audio_io.read_wav(path)
+        last = whole.num_channels - 1
+        for rows in ([last], [0], [last, 0], list(range(last + 1))):
+            read = audio_io.read_wav(path, rows)
+            assert read.samples.flags.c_contiguous
+            assert read.samples.dtype == np.float64
+            assert read.samples.tobytes() == whole.samples[rows].tobytes()
+            assert (read.file_channels, read.sample_rate) == (whole.num_channels, FS)
+
+    @pytest.mark.parametrize("rows", [[3], [0, 3], [-1]])
+    def test_row_beyond_the_file_names_the_path(self, rows, rng, tmp_path):
+        path = tmp_path / "x.wav"
+        audio_io.write_wav(path, audio_io.MultichannelWaveform(rng.uniform(-0.5, 0.5, (3, 100)), FS))
+        with pytest.raises(audio_io.InputError,
+                           match=re.escape(f"{path}: row {rows[-1]} is not one of its 3 channels")):
+            audio_io.read_wav(path, rows)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1165,6 +1204,24 @@ class TestSceneFiles:
             for key in ("input_db", "output_db", "assignment"):
                 assert record[key] == scored[key]
 
+    def test_nan_beside_the_reference_row_exit_code(self, tmp_path, capsys):
+        """separate and evaluate decode only the reference row of source_1.wav,
+        but a NaN in another of its channels still fails both, naming it."""
+        manifest = write_manifest(tmp_path, num_scenes=1)  # reference mic 0 of 4
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+
+        def nan_in_channel_2(rate, data):
+            data = data.copy()
+            data[len(data) // 2, 2] = np.nan
+            return rate, data
+
+        path = edit_wav("source_1.wav", nan_in_channel_2)(scene_dir)
+        for command in ("evaluate", "separate"):  # separate deletes the estimates first
+            assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
+            assert f"{path}: waveform contains NaN or Inf samples" in capsys.readouterr().err
+
     def test_scene_json_read_once_per_scene_per_stage(self, tmp_path, monkeypatch):
         manifest = write_manifest(tmp_path, num_scenes=2)
         config = base_config(manifest, tmp_path / "out", command="simulate")
@@ -1528,6 +1585,16 @@ class TestScenePool:
         with cli._scene_pool(2) as scene_map:
             faults = scene_map(_second_allocation_faults, range(2))
         assert max(faults) < 100
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_main_keeps_its_heap_once_per_call(self, jobs, kept_heaps, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out", jobs=jobs)
+        for calls in (1, 2):
+            assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+            assert len(kept_heaps) == calls
+        cli.run(config)  # run, like the library, leaves the allocator to its caller
+        assert len(kept_heaps) == 2
 
     def test_keep_heap_without_mallopt_does_nothing(self, monkeypatch):
         def no_libc(name):
