@@ -506,9 +506,10 @@ class TestAudioIo:
     @pytest.mark.parametrize("rows", [[3], [0, 3], [-1]])
     def test_row_beyond_the_file_names_the_path(self, rows, rng, tmp_path):
         path = tmp_path / "x.wav"
-        audio_io.write_wav(path, audio_io.MultichannelWaveform(rng.uniform(-0.5, 0.5, (3, 100)), FS))
-        with pytest.raises(audio_io.InputError,
-                           match=re.escape(f"{path}: row {rows[-1]} is not one of its 3 channels")):
+        samples = rng.uniform(-0.5, 0.5, (3, 100))
+        audio_io.write_wav(path, audio_io.MultichannelWaveform(samples, FS))
+        message = f"{path}: row {rows[-1]} is not one of its 3 channels"
+        with pytest.raises(audio_io.InputError, match=re.escape(message)):
             audio_io.read_wav(path, rows)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
