@@ -12,9 +12,9 @@ stream is batched matmuls (M x T by T x M per frequency) and the beamformer
 one batched (1 x M) by (M x T) product, both run by BLAS. A multichannel
 dsp.stft writes its spectra in this layout, so no transpose is paid at all;
 a spectrogram built otherwise pays one copy, shared by every kernel call.
-The covariance weights one block of frequencies at a time (_BLOCK_BYTES),
-so the weighted copy is read back from cache and never exists for the whole
-grid.
+The covariance weights one block of frequencies at a time (_BLOCK_BYTES)
+into one reused buffer, so the weighted copy is read back from cache and
+never exists for the whole grid.
 """
 
 from dataclasses import dataclass
@@ -73,6 +73,7 @@ def spatial_covariance(spec, mask):
     num_mics = spec.num_channels
     weighted = np.empty((spec.num_bins, num_mics, num_mics), dtype=np.complex128)
     step = max(1, _BLOCK_BYTES // z[0].nbytes)
+    buffer = np.empty((min(step, spec.num_bins), *z.shape[1:]), dtype=np.complex128)
     # a spectrogram too loud for float64 overflows here; the finite check
     # after the block reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -80,7 +81,8 @@ def spatial_covariance(spec, mask):
             block = z[lo:lo + step]
             # conj(mask z) z^T is the conjugate of V's sum: conjugating the weighted
             # block in place, and the product once below, needs no conj(z) copy
-            y = mask.T[lo:lo + step, np.newaxis, :] * block
+            y = np.multiply(mask.T[lo:lo + step, np.newaxis, :], block,
+                            out=buffer[:len(block)])
             np.matmul(np.conjugate(y, out=y), block.transpose(0, 2, 1),
                       out=weighted[lo:lo + step])
         np.conjugate(weighted, out=weighted)
@@ -204,8 +206,8 @@ def separate_mvdr(mixture, mask_set, config, ref_mic):
     for pos, cov in enumerate(covs):
         interference = interference_covariance(covs + [noise_cov], pos)
         weights = mvdr_weights(cov, interference, ref_mic)
-        beamformed = apply_beamformer(weights, spec)
-        waveforms.append(istft(beamformed))
+        # inverted as it is made, so no two speakers' spectra are held at once
+        waveforms.append(istft(apply_beamformer(weights, spec)))
         flags.append(
             {
                 "passthrough_freqs": int(weights.passthrough.sum()),

@@ -507,19 +507,21 @@ def _scene_wav(path, sample_rate, channels=None, length=None, rows=None):
 def load_scene_masks(scene_dir, config, stft_config):
     """Oracle masks at a simulated scene's reference mic, or imported masks."""
     record, mixture = _open_scene(scene_dir)
-    return _scene_masks(scene_dir, config, stft_config, record["reference_mic"],
-                        len(record["sources"]), mixture)
+    return _scene_masks(scene_dir, config, stft_config, record, mixture,
+                        record["reference_mic"])
 
 
-def _scene_masks(scene_dir, config, stft_config, ref_mic, num_sources, mixture):
-    """The scene's masks for its mixture. An imported tensor holds one stream
-    per source and at most one noise stream after them, each on the mixture's
-    STFT grid; oracle masks come from the source images and the noise image,
-    each the mixture's shape and rate."""
+def _scene_masks(scene_dir, config, stft_config, record, mixture, row):
+    """The scene's masks for its mixture, in which the scene's reference mic
+    is row row. An imported tensor holds one stream per source and at most
+    one noise stream after them, each on the mixture's STFT grid; oracle
+    masks come from the source images and the noise image, each with the
+    mixture file's channels, length and rate."""
     sep = config["separator"]
+    ref_mic = record["reference_mic"]
     if sep["mask_import_dir"]:
         path = Path(sep["mask_import_dir"]) / f"{scene_dir.name}.tns"
-        mask_set = masks.MaskSet.load(path, num_sources)
+        mask_set = masks.MaskSet.load(path, len(record["sources"]))
         grid = (stft_config.num_frames(mixture.num_samples), stft_config.num_bins)
         if mask_set.masks.shape[1:] != grid:
             raise InputError(f"{path}: scene {scene_dir.name!r}: mask grid "
@@ -528,10 +530,10 @@ def _scene_masks(scene_dir, config, stft_config, ref_mic, num_sources, mixture):
         return mask_set
 
     # the masks see only the reference row of each image and of the mixture
-    names = [*(f"source_{k}.wav" for k in range(1, num_sources + 1)), "noise.wav"]
-    images = [_scene_wav(scene_dir / name, mixture.sample_rate, *mixture.samples.shape,
-                         rows=[ref_mic]) for name in names]
-    reference = MultichannelWaveform(mixture.channel(ref_mic), mixture.sample_rate)
+    names = [*(f"source_{k}.wav" for k in range(1, len(record["sources"]) + 1)), "noise.wav"]
+    images = [_scene_wav(scene_dir / name, mixture.sample_rate, mixture.file_channels,
+                         mixture.num_samples, rows=[ref_mic]) for name in names]
+    reference = MultichannelWaveform(mixture.channel(row), mixture.sample_rate)
     return masks.oracle_mask_from_waveforms(
         reference, images, sep["mask_oracle_kind"], stft_config, 0
     )
@@ -548,17 +550,19 @@ def _separate_one(arg):
     scene_dir, config, stft_config = arg
     with _naming(after=f", separating {scene_dir / 'mixture.wav'}"):
         _clear_separation(scene_dir)
-        record, mixture = _open_scene(scene_dir)
-        ref_mic = record["reference_mic"]
         method = config["separator"]["method"]
-        mask_set = _scene_masks(scene_dir, config, stft_config, ref_mic,
-                                len(record["sources"]), mixture)
+        # masking transforms only the reference row, so only it is decoded,
+        # as the mixture's row 0
+        reference_only = method == "masking"
+        record, mixture = _open_scene(scene_dir, reference_only)
+        ref_row = 0 if reference_only else record["reference_mic"]
+        mask_set = _scene_masks(scene_dir, config, stft_config, record, mixture, ref_row)
 
         fmt = config["wav_format"]
         # looked up per call, so a patched module attribute is the one called;
         # load_config admits only SEPARATION_METHODS
         separate = beamform.separate_mvdr if method == "mvdr" else masks.separate_masking
-        estimates, flags = separate(mixture, mask_set, stft_config, ref_mic)
+        estimates, flags = separate(mixture, mask_set, stft_config, ref_row)
         try:  # all checked, as stored, before the first write
             stored = [audio_io.encode(est, fmt, f"est_{k}.wav: ")
                       for k, est in enumerate(estimates, start=1)]

@@ -17,6 +17,11 @@ from .errors import ConfigurationError, InputError
 # Overlap weights below this are treated as uncovered samples.
 _COVERAGE_TOL = 1e-12
 
+# Size of the block of frames that stft windows and transforms, and istft
+# inverts, in one call: large enough that numpy's per-call cost is small,
+# small enough that no copy of a whole channel's frames is made
+_BLOCK_BYTES = 1 << 18
+
 
 def make_window(length):
     """Periodic Hann analysis window of length taps, at least 2.
@@ -165,6 +170,11 @@ class Spectrogram:
         )
 
 
+def _frames_per_block(row_bytes):
+    """Frames in one block of a transform whose rows take row_bytes each."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def stft(waveform, config):
     """Short-time Fourier transform of every channel.
 
@@ -173,33 +183,42 @@ def stft(waveform, config):
     A one-channel result's bins are C-contiguous (T, F) rows. A multichannel
     result's bins are the (M, T, F) view of a C-contiguous (F, M, T) array,
     which freq_major then returns without a copy.
+
+    One channel is padded at a time, and one block of its frames is windowed
+    and transformed at a time, straight into the result: the result is the
+    only array the size of the grid.
     """
     x = waveform.samples
     if not np.all(np.isfinite(x)):
         raise InputError("waveform contains NaN or Inf samples")
-    length = x.shape[1]
+    channels, length = x.shape
     num_frames = config.num_frames(length)
     w = config.window_length
-    x = np.pad(x, ((0, 0), (w // 2, w // 2 + w)))
-    frames = sliding_window_view(x, w, axis=1)[:, : num_frames * config.hop: config.hop]
     window = config.window()
-    if len(frames) == 1:
+    if channels == 1:
         # masking and the iSTFT read one channel's (T, F) rows
-        spectra = np.fft.rfft(frames * window, n=config.fft_size, axis=2)
+        spectra = np.empty((1, num_frames, config.num_bins), dtype=np.complex128)
     else:
-        # the spatial kernels read (F, M, T): writing it one channel at a time
-        # keeps the windowed frames to one channel's, and freq_major copies nothing
-        layout = np.empty((config.num_bins, len(frames), num_frames), dtype=np.complex128)
-        for m, channel_frames in enumerate(frames):
-            layout[:, m] = np.fft.rfft(channel_frames * window, n=config.fft_size, axis=1).T
+        # the spatial kernels read (F, M, T), which freq_major then returns as it is
+        layout = np.empty((config.num_bins, channels, num_frames), dtype=np.complex128)
         spectra = layout.transpose(1, 2, 0)
+    step = _frames_per_block(8 * config.fft_size)
+    for row, out in zip(x, spectra):
+        padded = np.pad(row, (w // 2, w // 2 + w))
+        frames = sliding_window_view(padded, w)[: num_frames * config.hop: config.hop]
+        for lo in range(0, num_frames, step):
+            # an rfft row's bits do not depend on how many rows share the call
+            out[lo:lo + step] = np.fft.rfft(frames[lo:lo + step] * window,
+                                            n=config.fft_size, axis=1)
     return Spectrogram(spectra, config, length, waveform.sample_rate)
 
 
 def istft(spec):
     """Inverse STFT via weighted overlap-add with the dual synthesis window.
 
-    Returns a MultichannelWaveform trimmed to the spectrogram's original_length.
+    One block of frames is inverted at a time and added in ascending frame
+    order. Returns a MultichannelWaveform trimmed to the spectrogram's
+    original_length.
     """
     config = spec.config
     w = config.window_length
@@ -207,18 +226,20 @@ def istft(spec):
     window = config.window()
     num_frames = spec.num_frames
 
-    frames = np.fft.irfft(spec.bins, n=config.fft_size, axis=2)[:, :, :w]
     padded_len = (num_frames - 1) * hop + w
     acc = np.zeros((spec.num_channels, padded_len), dtype=np.float64)
     norm = np.zeros(padded_len, dtype=np.float64)
     wsq = window ** 2
-    for t in range(num_frames):
-        start = t * hop
-        acc[:, start:start + w] += frames[:, t, :] * window
-        norm[start:start + w] += wsq
+    step = _frames_per_block(8 * config.fft_size * spec.num_channels)
+    for lo in range(0, num_frames, step):
+        frames = np.fft.irfft(spec.bins[:, lo:lo + step], n=config.fft_size, axis=2)
+        for t in range(lo, min(lo + step, num_frames)):
+            start = t * hop
+            acc[:, start:start + w] += frames[:, t - lo, :w] * window
+            norm[start:start + w] += wsq
 
     covered = norm > _COVERAGE_TOL
-    acc[:, covered] /= norm[covered]
+    np.divide(acc, norm, out=acc, where=covered)
     acc[:, ~covered] = 0.0
 
     out = acc[:, w // 2: w // 2 + spec.original_length]

@@ -75,11 +75,7 @@ def oracle_mask(images, kind, mixture):
     Returns:
         MaskSet with K speaker streams plus a noise stream.
     """
-    if kind not in MASK_KINDS:
-        raise ConfigurationError(f"unsupported mask kind: {kind!r}")
-    if len(images) < 2:
-        raise InputError("need at least one source image plus the noise image")
-
+    _check_streams(kind, images)
     shape = mixture.bins.shape
     if any(image.bins.shape != shape for image in images):
         raise InputError("all reference spectrograms must match the mixture shape")
@@ -95,15 +91,28 @@ def oracle_mask(images, kind, mixture):
     mags = np.empty((len(images), *shape[1:]))
     for stream, image in zip(mags, images):
         np.abs(image.bins[0], out=stream)
+    return _magnitude_masks(mags, kind)
+
+
+def _check_streams(kind, images):
+    if kind not in MASK_KINDS:
+        raise ConfigurationError(f"unsupported mask kind: {kind!r}")
+    if len(images) < 2:
+        raise InputError("need at least one source image plus the noise image")
+
+
+def _magnitude_masks(mags, kind):
+    """ibm or irm masks from the (K+1, T, F) magnitudes of every stream;
+    irm's are computed in mags itself."""
     if kind == "ibm":
         winner = np.argmax(mags, axis=0)  # first max wins: lowest stream index
-        masks = (winner[np.newaxis] == np.arange(len(images))[:, None, None])
+        masks = (winner[np.newaxis] == np.arange(len(mags))[:, None, None])
         masks = masks.astype(np.float64)
     else:  # irm
         masks = mags
         masks /= mags.sum(axis=0) + MASK_EPS
 
-    return MaskSet(masks, len(images) - 1)
+    return MaskSet(masks, len(mags) - 1)
 
 
 def _reference_spectrogram(waveform, config, ref_mic):
@@ -115,7 +124,8 @@ def _reference_spectrogram(waveform, config, ref_mic):
 def oracle_mask_from_waveforms(mixture, images, kind, config, ref_mic):
     """Oracle masks of a scene from its waveforms, at the reference microphone.
 
-    Only channel ref_mic of each waveform is transformed.
+    Only channel ref_mic of each waveform is transformed. For ibm and irm
+    only one of those spectra is held at a time.
 
     Args:
         mixture: multichannel mixture waveform.
@@ -128,8 +138,20 @@ def oracle_mask_from_waveforms(mixture, images, kind, config, ref_mic):
     Returns:
         MaskSet with K speaker streams plus a noise stream.
     """
-    specs = [_reference_spectrogram(image, config, ref_mic) for image in images]
-    return oracle_mask(specs, kind, _reference_spectrogram(mixture, config, ref_mic))
+    if kind == "psm":
+        specs = [_reference_spectrogram(image, config, ref_mic) for image in images]
+        return oracle_mask(specs, kind, _reference_spectrogram(mixture, config, ref_mic))
+
+    _check_streams(kind, images)
+    # ibm and irm need only magnitudes: the mixture's spectrum gives their
+    # grid, and each image's lives only until its magnitude is taken
+    shape = _reference_spectrogram(mixture, config, ref_mic).bins.shape
+    if any(config.num_frames(image.num_samples) != shape[1] for image in images):
+        raise InputError("all reference spectrograms must match the mixture shape")
+    mags = np.empty((len(images), *shape[1:]))
+    for stream, image in zip(mags, images):
+        np.abs(_reference_spectrogram(image, config, ref_mic).bins[0], out=stream)
+    return _magnitude_masks(mags, kind)
 
 
 def apply_mask(mask, spec):

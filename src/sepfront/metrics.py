@@ -14,7 +14,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import next_fast_len
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linear_sum_assignment
 
 from .dsp import MultichannelWaveform, stft
 from .errors import ConfigurationError, InputError
@@ -246,6 +245,9 @@ def pit_assign(cost_matrix):
                 best_cost = total
                 best_perm = perm
         return Assignment(permutation=best_perm, total_cost=float(best_cost))
+
+    # imported here, its only use, so importing sepfront does not load scipy.optimize
+    from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
     perm = tuple(int(cols[np.where(rows == i)[0][0]]) for i in range(k))

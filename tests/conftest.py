@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,23 @@ def kept_heaps(monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_keep_process_heap", lambda: calls.append(True))
     return calls
+
+
+MIB = 1 << 20
+
+
+def traced_peak_mib(task, *args):
+    """(task(*args), the most memory in MiB that the call held at once beyond
+    what was allocated before it), by tracemalloc, which is started for the
+    call if it is not tracing already."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = task(*args)
+        return result, (tracemalloc.get_traced_memory()[1] - before) / MIB
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -1223,6 +1223,23 @@ class TestSceneFiles:
             assert run_main(tmp_path, config, command) == cli.EXIT_INPUT
             assert f"{path}: waveform contains NaN or Inf samples" in capsys.readouterr().err
 
+    def test_nan_beside_the_reference_row_of_the_mixture_exit_code(self, tmp_path, capsys):
+        """masking separate decodes only the reference row of mixture.wav, but
+        a NaN in another of its channels still fails it, naming the file."""
+        manifest = write_manifest(tmp_path, num_scenes=1)  # reference mic 0 of 4
+        config = base_config(manifest, tmp_path / "out", separator={"method": "masking"})
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+
+        def nan_in_channel_2(rate, data):
+            data = data.copy()
+            data[len(data) // 2, 2] = np.nan
+            return rate, data
+
+        path = edit_wav("mixture.wav", nan_in_channel_2)(scene_dir)
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+        assert f"{path}: waveform contains NaN or Inf samples" in capsys.readouterr().err
+
     def test_scene_json_read_once_per_scene_per_stage(self, tmp_path, monkeypatch):
         manifest = write_manifest(tmp_path, num_scenes=2)
         config = base_config(manifest, tmp_path / "out", command="simulate")

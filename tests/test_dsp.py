@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepfront import dsp
 from sepfront.dsp import MultichannelWaveform, Spectrogram, StftConfig, istft, make_window, stft
 from sepfront.errors import ConfigurationError, InputError
 
@@ -141,17 +142,17 @@ def framed_rfft(x, cfg):
     return np.fft.rfft(frames * cfg.window(), n=cfg.fft_size, axis=2)
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        StftConfig(512, 128),
-        StftConfig(400, 160, fft_size=512),
-        StftConfig(256, 100),
-        StftConfig(300, 7, fft_size=512),
-        StftConfig(64, 1),
-    ],
-    ids=["512-128", "400-160-fft512", "256-100", "300-7-fft512", "64-1"],
-)
+CONFIGS = [
+    StftConfig(512, 128),
+    StftConfig(400, 160, fft_size=512),
+    StftConfig(256, 100),
+    StftConfig(300, 7, fft_size=512),
+    StftConfig(64, 1),
+]
+CONFIG_IDS = ["512-128", "400-160-fft512", "256-100", "300-7-fft512", "64-1"]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 def test_stft_equals_per_frame_rfft(cfg, rng):
     # one channel takes the batched path, more take the per-channel one;
     # the last length is shorter than the window
@@ -222,3 +223,51 @@ class TestIstft:
         outside[max(start, 0):stop] = False
         assert diff[outside].max() < 1e-12
         assert diff[~outside].max() > 1e-6
+
+
+def length_for(cfg, num_frames):
+    """A signal length whose STFT has num_frames frames."""
+    return (num_frames - 1) * cfg.hop
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_stft_blocks_equal_per_frame_rfft(cfg, rng):
+    """Frames that span several of stft's blocks, the last one partly."""
+    step = dsp._frames_per_block(8 * cfg.fft_size)
+    for channels in (1, 3):
+        x = rng.standard_normal((channels, length_for(cfg, 3 * step + 5)))
+        spec = stft(MultichannelWaveform(x, 16000), cfg)
+        assert np.array_equal(spec.bins, framed_rfft(x, cfg))
+
+
+def whole_array_istft(bins, cfg, length):
+    """iSTFT oracle: irfft every frame in one call, then overlap-add them in
+    ascending frame order and divide by the summed squared window."""
+    w, hop = cfg.window_length, cfg.hop
+    window = cfg.window()
+    frames = np.fft.irfft(bins, n=cfg.fft_size, axis=2)[:, :, :w]
+    padded_len = (bins.shape[1] - 1) * hop + w
+    acc = np.zeros((len(bins), padded_len))
+    norm = np.zeros(padded_len)
+    for t in range(bins.shape[1]):
+        acc[:, t * hop:t * hop + w] += frames[:, t] * window
+        norm[t * hop:t * hop + w] += window ** 2
+    covered = norm > 1e-12
+    acc[:, covered] /= norm[covered]
+    acc[:, ~covered] = 0.0
+    out = acc[:, w // 2:w // 2 + length]
+    return np.pad(out, ((0, 0), (0, length - out.shape[1])))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("channels", [1, 3])
+def test_istft_equals_whole_array_overlap_add(cfg, channels, rng):
+    """Bit for bit, at frame counts one below, at and one above a multiple of
+    istft's block of frames."""
+    step = dsp._frames_per_block(8 * cfg.fft_size * channels)
+    for num_frames in (2 * step - 1, 2 * step, 2 * step + 1):
+        length = length_for(cfg, num_frames)
+        shape = (channels, num_frames, cfg.num_bins)
+        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = istft(Spectrogram(bins, cfg, length)).samples
+        assert np.array_equal(got, whole_array_istft(bins, cfg, length))

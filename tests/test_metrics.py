@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +410,20 @@ class TestPitAssign:
             pit_assign([[1.0, 2.0]])
         with pytest.raises(InputError):
             pit_assign([[np.nan, 1.0], [1.0, 0.0]])
+
+    def test_importing_the_cli_leaves_out_the_assignment_solver(self):
+        """Only pit_assign above EXHAUSTIVE_LIMIT streams uses scipy.optimize,
+        so a fresh interpreter that imports sepfront.cli has not loaded it."""
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sepfront.cli; print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
 
 
 class TestScoreMatrix:

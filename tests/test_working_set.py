@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 import pilot_suite
-from sepfront import cli
-
-MIB = 1 << 20
+from conftest import traced_peak_mib
+from sepfront import cli, dsp, masks, simulate
 
 # the highest tracemalloc peak, in MiB, of a stage task on pilot scene 0
 SEPARATE_PEAK_MIB = {"masking": 24, "mvdr": 33}
@@ -32,10 +31,7 @@ def test_stage_tasks_allocate_only_what_they_use(method, metric, tmp_path, monke
     peaks = {}
     for name in ("_separate_one", "_evaluate_one"):
         def measured(arg, task=getattr(cli, name), name=name):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            result = task(arg)
-            peaks[name] = (tracemalloc.get_traced_memory()[1] - before) / MIB
+            result, peaks[name] = traced_peak_mib(task, arg)
             return result
 
         monkeypatch.setattr(cli, name, measured)
@@ -91,3 +87,48 @@ def test_second_run_all_reuses_the_heap(method, metric, tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert int(child.stdout) < 500
+
+
+# An MVDR scene holds one array the size of its whole grid, the (F, M, T)
+# mixture spectrum: the transforms work a block of frames at a time, and the
+# oracle masks keep one reference spectrum at a time. The highest tracemalloc
+# peaks, in MiB, on pilot scene 0:
+LIBRARY_SCENE_PEAK_MIB = 41  # render_scene and mvdr_scene_scores
+MIXTURE_STFT_PEAK_MIB = 18  # the 8-channel stft of the mixture
+ORACLE_IRM_PEAK_MIB = 9  # oracle_mask_from_waveforms with irm
+SEPARATE_ONE_PEAK_MIB = {"masking": 14, "mvdr": 29}  # cli._separate_one
+
+
+@pytest.fixture(scope="module")
+def pilot_scene():
+    return simulate.render_scene(pilot_suite.make_scene(0))
+
+
+def test_library_scene_holds_one_spectrum():
+    spec = pilot_suite.make_scene(0)
+    _, peak = traced_peak_mib(lambda: pilot_suite.mvdr_scene_scores(simulate.render_scene(spec)))
+    assert peak <= LIBRARY_SCENE_PEAK_MIB
+
+
+def test_stft_holds_only_its_result(pilot_scene):
+    _, peak = traced_peak_mib(dsp.stft, pilot_scene.mixture, dsp.StftConfig(512, 128))
+    assert peak <= MIXTURE_STFT_PEAK_MIB
+
+
+def test_oracle_masks_keep_one_reference_spectrum(pilot_scene):
+    images = [*pilot_scene.source_images, pilot_scene.noise_image]
+    _, peak = traced_peak_mib(masks.oracle_mask_from_waveforms, pilot_scene.mixture, images,
+                              "irm", dsp.StftConfig(512, 128), pilot_suite.REFERENCE_MIC)
+    assert peak <= ORACLE_IRM_PEAK_MIB
+
+
+@pytest.mark.parametrize("method", ["masking", "mvdr"])
+def test_separate_task_holds_one_spectrum(method, tmp_path):
+    manifest = pilot_suite.write_cli_suite(tmp_path / "in", 1)
+    config = cli.load_config(None, {"scene_manifest": str(manifest),
+                                    "output_dir": str(tmp_path / "out"), "jobs": 1})
+    config["separator"]["method"] = method
+    cli.cmd_simulate(config)
+    (scene_dir,) = (tmp_path / "out" / "scenes").iterdir()
+    _, peak = traced_peak_mib(cli._separate_one, (scene_dir, config, cli._stft_config(config)))
+    assert peak <= SEPARATE_ONE_PEAK_MIB[method]
