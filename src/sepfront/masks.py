@@ -75,44 +75,43 @@ def oracle_mask(images, kind, mixture):
     Returns:
         MaskSet with K speaker streams plus a noise stream.
     """
-    _check_streams(kind, images)
-    shape = mixture.bins.shape
-    if any(image.bins.shape != shape for image in images):
-        raise InputError("all reference spectrograms must match the mixture shape")
-
-    if kind == "psm":
-        mix = mixture.bins[0]
-        refs = np.stack([image.bins[0] for image in images])  # (K+1, T, F)
-        proj = np.real(refs * np.conj(mix))
-        masks = np.clip(proj / (np.abs(mix) ** 2 + MASK_EPS), 0.0, 1.0)
-        return MaskSet(masks, len(images) - 1)
-
-    # ibm and irm need only magnitudes, taken one stream at a time
-    mags = np.empty((len(images), *shape[1:]))
-    for stream, image in zip(mags, images):
-        np.abs(image.bins[0], out=stream)
-    return _magnitude_masks(mags, kind)
+    return _oracle_masks(kind, len(images), lambda k: images[k].bins, mixture.bins)
 
 
-def _check_streams(kind, images):
+def _oracle_masks(kind, count, spectrum, mixture):
+    """MaskSet of count streams, filled one stream at a time.
+
+    spectrum(k) gives the bins of stream k at the reference mic, shaped as
+    mixture, the mixture's bins there; channel 0 of each is used. ibm and irm
+    take each stream's magnitude, psm its projection on the mixture; ibm's
+    argmax and irm's normalization then work on those in place.
+    """
     if kind not in MASK_KINDS:
         raise ConfigurationError(f"unsupported mask kind: {kind!r}")
-    if len(images) < 2:
+    if count < 2:
         raise InputError("need at least one source image plus the noise image")
+    shape = mixture.shape
+    masks = np.empty((count, *shape[1:]))
+    if kind == "psm":
+        conj = np.conj(mixture[0])
+        power = np.abs(mixture[0]) ** 2 + MASK_EPS
+    del mixture  # only psm keeps the mixture's spectrum, as conj and power
+    for k, stream in enumerate(masks):
+        bins = spectrum(k)
+        if bins.shape != shape:
+            raise InputError("all reference spectrograms must match the mixture shape")
+        if kind == "psm":
+            np.clip(np.real(bins[0] * conj) / power, 0.0, 1.0, out=stream)
+        else:
+            np.abs(bins[0], out=stream)
+        del bins  # before the next stream's spectrum is made
 
-
-def _magnitude_masks(mags, kind):
-    """ibm or irm masks from the (K+1, T, F) magnitudes of every stream;
-    irm's are computed in mags itself."""
     if kind == "ibm":
-        winner = np.argmax(mags, axis=0)  # first max wins: lowest stream index
-        masks = (winner[np.newaxis] == np.arange(len(mags))[:, None, None])
-        masks = masks.astype(np.float64)
-    else:  # irm
-        masks = mags
-        masks /= mags.sum(axis=0) + MASK_EPS
-
-    return MaskSet(masks, len(mags) - 1)
+        winner = np.argmax(masks, axis=0)  # first max wins: lowest stream index
+        np.equal(winner, np.arange(count)[:, None, None], out=masks)
+    elif kind == "irm":
+        masks /= masks.sum(axis=0) + MASK_EPS
+    return MaskSet(masks, count - 1)
 
 
 def _reference_spectrogram(waveform, config, ref_mic):
@@ -124,8 +123,8 @@ def _reference_spectrogram(waveform, config, ref_mic):
 def oracle_mask_from_waveforms(mixture, images, kind, config, ref_mic):
     """Oracle masks of a scene from its waveforms, at the reference microphone.
 
-    Only channel ref_mic of each waveform is transformed. For ibm and irm
-    only one of those spectra is held at a time.
+    Only channel ref_mic of each waveform is transformed, and only one
+    image's spectrum is held at a time.
 
     Args:
         mixture: multichannel mixture waveform.
@@ -138,20 +137,9 @@ def oracle_mask_from_waveforms(mixture, images, kind, config, ref_mic):
     Returns:
         MaskSet with K speaker streams plus a noise stream.
     """
-    if kind == "psm":
-        specs = [_reference_spectrogram(image, config, ref_mic) for image in images]
-        return oracle_mask(specs, kind, _reference_spectrogram(mixture, config, ref_mic))
-
-    _check_streams(kind, images)
-    # ibm and irm need only magnitudes: the mixture's spectrum gives their
-    # grid, and each image's lives only until its magnitude is taken
-    shape = _reference_spectrogram(mixture, config, ref_mic).bins.shape
-    if any(config.num_frames(image.num_samples) != shape[1] for image in images):
-        raise InputError("all reference spectrograms must match the mixture shape")
-    mags = np.empty((len(images), *shape[1:]))
-    for stream, image in zip(mags, images):
-        np.abs(_reference_spectrogram(image, config, ref_mic).bins[0], out=stream)
-    return _magnitude_masks(mags, kind)
+    return _oracle_masks(kind, len(images),
+                         lambda k: _reference_spectrogram(images[k], config, ref_mic).bins,
+                         _reference_spectrogram(mixture, config, ref_mic).bins)
 
 
 def apply_mask(mask, spec):

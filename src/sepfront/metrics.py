@@ -90,15 +90,17 @@ def si_sdr(estimate, reference, config=MetricConfig()):
 
     The reference is scaled by alpha = <estimate, reference> / ||reference||^2
     before the error term is formed. config is unused; it keeps ci_sdr's
-    signature, so METRIC_FUNCTIONS calls either the same way.
+    signature, so METRIC_FUNCTIONS calls either the same way. Like ci_sdr it
+    makes no numpy BLAS call: a threaded BLAS dot splits its sum by the
+    thread count, so the score would depend on it.
     """
     est, ref = _as_pair(estimate, reference)
-    ref_energy = float(np.dot(ref, ref))
+    ref_energy = float(np.sum(ref * ref))
     if ref_energy == 0.0:
         raise InputError("reference signal is all-zero")
-    alpha = float(np.dot(est, ref)) / ref_energy
+    alpha = float(np.sum(est * ref)) / ref_energy
     target = alpha * ref
-    return _ratio_db(float(np.dot(target, target)), float(np.sum((target - est) ** 2)))
+    return _ratio_db(float(np.sum(target * target)), float(np.sum((target - est) ** 2)))
 
 
 # the CI-SDR system of the last reference fitted: (taps, a copy of the

@@ -1660,3 +1660,18 @@ class TestScenePool:
                 assert serial["scene_id"] == parallel["scene_id"]
                 for key in ("input_db", "output_db"):
                     assert np.allclose(serial[key], parallel[key], rtol=0.0, atol=1e-12)
+
+    def test_si_sdr_reports_equal_at_any_jobs(self, tmp_path):
+        """SI-SDR makes no BLAS call, so the scores of an MVDR run-all do not
+        follow the BLAS thread count, which the pool caps in its workers."""
+        manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=3)
+        records = {}
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            cli.run(base_config(manifest, out_dir, jobs=jobs,
+                                separator={"method": "mvdr"}, metric={"name": "si_sdr"}))
+            lines = (out_dir / "report.jsonl").read_text().splitlines()
+            records[jobs] = [{key: value for key, value in json.loads(line).items()
+                              if key != "timing_s"} for line in lines]
+        assert len(records[1]) == 3
+        assert records[1] == records[2]

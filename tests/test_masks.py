@@ -127,6 +127,35 @@ def full_array_reference(waveform, ref_mic):
     return stft(waveform, CFG).channel(ref_mic)
 
 
+def stacked_masks(specs, kind, mixture):
+    """Each kind's formula on the stacked (K+1, T, F) reference spectra."""
+    refs = np.stack([spec.bins[0] for spec in specs])
+    mix = mixture.bins[0]
+    if kind == "psm":
+        proj = np.real(refs * np.conj(mix))
+        return np.clip(proj / (np.abs(mix) ** 2 + MASK_EPS), 0.0, 1.0)
+    mags = np.abs(refs)
+    if kind == "ibm":
+        winner = np.argmax(mags, axis=0)
+        return (winner[np.newaxis] == np.arange(len(mags))[:, None, None]).astype(np.float64)
+    return mags / (mags.sum(axis=0) + MASK_EPS)
+
+
+@pytest.mark.parametrize("kind", MASK_KINDS)
+def test_masks_equal_stacked_formulas(kind, rng):
+    specs = random_specs(rng, 4, frames=9)
+    mixture = spec_from(sum(spec.bins[0] for spec in specs))
+    assert np.array_equal(oracle_mask(specs, kind, mixture).masks,
+                          stacked_masks(specs, kind, mixture))
+    for index, ref_mic in ((0, 0), (5, 3)):
+        scene = render_scene(pilot_suite.make_scene(index))
+        images = [*scene.source_images, scene.noise_image]
+        expected = stacked_masks([full_array_reference(im, ref_mic) for im in images], kind,
+                                 full_array_reference(scene.mixture, ref_mic))
+        got = oracle_mask_from_waveforms(scene.mixture, images, kind, CFG, ref_mic)
+        assert np.array_equal(got.masks, expected)
+
+
 class TestOracleMaskFromWaveforms:
     @pytest.mark.parametrize("ref_mic", [0, 3])
     def test_matches_full_array_stft(self, ref_mic):

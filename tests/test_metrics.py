@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import speech_like
-from sepfront import metrics
+from sepfront import cli, metrics
 from sepfront.dsp import MultichannelWaveform, StftConfig, stft
 from sepfront.errors import InputError
 from sepfront.metrics import (
@@ -61,6 +61,27 @@ class TestSiSdr:
     def test_length_mismatch(self, rng):
         with pytest.raises(InputError):
             si_sdr(rng.standard_normal(100), rng.standard_normal(99))
+
+    def test_same_score_at_any_blas_thread_count(self, rng):
+        """A threaded BLAS dot of a pilot scene's 64 000 samples splits its
+        sum by the thread count; si_sdr makes no such call."""
+        copies = cli._bundled_openblas()
+        if not copies:
+            pytest.skip("neither numpy nor scipy ships an OpenBLAS")
+        ref = speech_like(rng, 64000)
+        est = ref + 0.3 * rng.standard_normal(64000)
+        before = [get() for get, _ in copies]
+        scores = []
+        try:
+            for count in (1, 2):
+                for _, set_ in copies:
+                    set_(count)
+                scores.append(si_sdr(est, ref))
+        finally:
+            for (_, set_), count in zip(copies, before):
+                set_(count)
+        assert scores[0] == scores[1]
+        assert [get() for get, _ in copies] == before
 
 
 class TestCiSdr:

@@ -96,6 +96,7 @@ def test_second_run_all_reuses_the_heap(method, metric, tmp_path):
 LIBRARY_SCENE_PEAK_MIB = 41  # render_scene and mvdr_scene_scores
 MIXTURE_STFT_PEAK_MIB = 18  # the 8-channel stft of the mixture
 ORACLE_IRM_PEAK_MIB = 9  # oracle_mask_from_waveforms with irm
+ORACLE_PSM_PEAK_MIB = 13  # ... with psm, which keeps the mixture's spectrum too
 SEPARATE_ONE_PEAK_MIB = {"masking": 14, "mvdr": 29}  # cli._separate_one
 
 
@@ -120,6 +121,13 @@ def test_oracle_masks_keep_one_reference_spectrum(pilot_scene):
     _, peak = traced_peak_mib(masks.oracle_mask_from_waveforms, pilot_scene.mixture, images,
                               "irm", dsp.StftConfig(512, 128), pilot_suite.REFERENCE_MIC)
     assert peak <= ORACLE_IRM_PEAK_MIB
+
+
+def test_psm_masks_keep_one_reference_spectrum(pilot_scene):
+    images = [*pilot_scene.source_images, pilot_scene.noise_image]
+    _, peak = traced_peak_mib(masks.oracle_mask_from_waveforms, pilot_scene.mixture, images,
+                              "psm", dsp.StftConfig(512, 128), pilot_suite.REFERENCE_MIC)
+    assert peak <= ORACLE_PSM_PEAK_MIB
 
 
 @pytest.mark.parametrize("method", ["masking", "mvdr"])
