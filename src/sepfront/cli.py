@@ -12,7 +12,6 @@ import contextlib
 import copy
 import ctypes
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -380,33 +379,35 @@ _keep_process_heap = _keep_heap
 
 
 @contextlib.contextmanager
+def _one_blas_thread():
+    """Every bundled OpenBLAS at one thread in the block, so each score is the same at any
+    jobs; a pool forked in it inherits the count (set in a fresh worker, it spins a thread)."""
+    restore = [(set_, get()) for get, set_ in _bundled_openblas()]
+    for set_, _ in restore:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, previous in restore:
+            set_(previous)
+
+
+@contextlib.contextmanager
 def _scene_pool(jobs):
     """Yield map(fn, items) for the per-scene tasks of one run.
 
     With jobs > 1 every map of more than one item goes through one process
     pool of min(jobs, items) workers, started at the first such map and shut
-    down when the block ends.
-    Before its workers fork, every bundled OpenBLAS (numpy's for matmuls and
-    solves, scipy's for CI-SDR's Cholesky) is capped at an even share of the
-    usable CPUs, so jobs workers do not each run full sets of BLAS threads on
-    the same cores. The forked workers inherit the caps (setting one inside a
-    fresh worker instead starts an idle, spinning BLAS thread); the parent's
-    own counts are restored once the pool has shut down. Each worker keeps
-    its heap between scenes (_keep_heap); the pool leaves the parent's
-    allocator as it is.
+    down when the block ends. Each worker keeps its heap between scenes
+    (_keep_heap); the pool leaves the parent's allocator as it is.
     """
     pool = None
-    restore = []  # (set, the parent's count) of each capped copy
 
     def scene_map(fn, items):
         nonlocal pool
         if jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if pool is None:
-            share = max(1, len(os.sched_getaffinity(0)) // jobs)
-            for get, set_ in _bundled_openblas():
-                restore.append((set_, get()))
-                set_(share)
             pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)),
                                        initializer=_keep_heap)
         return list(pool.map(fn, items))
@@ -416,8 +417,6 @@ def _scene_pool(jobs):
     finally:
         if pool is not None:
             pool.shutdown()
-        for set_, previous in restore:
-            set_(previous)
 
 
 def cmd_simulate(config, scene_map=map):
@@ -657,7 +656,7 @@ def run(config):
     """Run the configured stages, each on the scenes of scene_manifest, through
     one scene pool."""
     command = config["command"]
-    with _scene_pool(config["jobs"]) as scene_map:
+    with _one_blas_thread(), _scene_pool(config["jobs"]) as scene_map:
         if command in ("simulate", "run-all"):
             cmd_simulate(config, scene_map)
         if command in ("separate", "run-all"):

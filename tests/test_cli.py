@@ -1391,9 +1391,20 @@ class TestRunAll:
             assert ra["output_db"] == rb["output_db"]
 
 
+# the scene tasks as cli defines them, for the tests that patch them
+SEPARATE_ONE = cli._separate_one
+
+
 def _pool_blas_threads(_):
     """The thread count of every bundled OpenBLAS in the process that runs this task."""
     return [get() for get, _ in cli._bundled_openblas()]
+
+
+def _separate_recording_blas_threads(arg):
+    """cli's separate task, which also writes the thread count of every bundled
+    OpenBLAS in the process that runs it to the scene's blas_threads.json."""
+    SEPARATE_ONE(arg)
+    (arg[0] / "blas_threads.json").write_text(json.dumps(_pool_blas_threads(None)))
 
 
 def _second_allocation_faults(_):
@@ -1547,15 +1558,34 @@ class TestScenePool:
         assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
         assert pools == [3]
 
-    def test_workers_get_an_even_share_of_the_cpus(self, openblas):
-        jobs = 2
-        share = [worker_share(jobs)] * len(openblas)
-        set_threads(openblas, worker_share(jobs) + 1)  # the parent's count is not the share
-        with cli._scene_pool(jobs) as scene_map:
-            seen = scene_map(_pool_blas_threads, range(4))
-            assert threads(openblas) == share
-        assert seen == [share] * 4
-        assert threads(openblas) == [worker_share(jobs) + 1] * len(openblas)
+    @pytest.mark.parametrize("jobs, workers", [(1, []), (2, [2])])
+    def test_scene_tasks_run_at_one_blas_thread(self, jobs, workers, openblas, pools,
+                                                monkeypatch, tmp_path):
+        """In process or in a pool worker, every scene task runs with each
+        bundled OpenBLAS at one thread, and the caller gets its own counts back."""
+        monkeypatch.setattr(cli, "_separate_one", _separate_recording_blas_threads)
+        set_threads(openblas, 2)
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out", jobs=jobs)
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        assert pools == workers
+        seen = [json.loads(path.read_text()) for path
+                in sorted((tmp_path / "out" / "scenes").glob("*/blas_threads.json"))]
+        assert seen == [[1] * len(openblas)] * 2
+        assert threads(openblas) == [2] * len(openblas)
+
+    @pytest.mark.parametrize("bad_scene", [False, True], ids=["ok", "stage-raises"])
+    def test_caller_blas_threads_restored_at_jobs_1(self, bad_scene, openblas, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        if bad_scene:
+            content = json.loads(manifest.read_text())
+            content["scenes"][1]["reference_mic"] = 9
+            manifest.write_text(json.dumps(content))
+        set_threads(openblas, 2)
+        config = base_config(manifest, tmp_path / "out", jobs=1)
+        expected = cli.EXIT_INPUT if bad_scene else cli.EXIT_OK
+        assert run_main(tmp_path, config, "run-all") == expected
+        assert threads(openblas) == [2] * len(openblas)
 
     @pytest.mark.parametrize("bad_scene", [False, True], ids=["ok", "stage-raises"])
     def test_parent_blas_threads_restored(self, bad_scene, openblas, pools, tmp_path, capsys):
@@ -1660,6 +1690,19 @@ class TestScenePool:
                 assert serial["scene_id"] == parallel["scene_id"]
                 for key in ("input_db", "output_db"):
                     assert np.allclose(serial[key], parallel[key], rtol=0.0, atol=1e-12)
+
+    def test_ci_sdr_reports_equal_at_any_jobs(self, tmp_path):
+        """CI-SDR's Cholesky follows the BLAS thread count, which is one for
+        every scene task, so a masking run-all scores the same at any jobs."""
+        manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=4)
+        runs = []
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            cli.run(base_config(manifest, out_dir, jobs=jobs,
+                                separator={"method": "masking"}, metric={"name": "ci_sdr"}))
+            runs.append(outputs_of(out_dir))
+        assert len(runs[0][1]) == 4
+        assert runs[0] == runs[1]
 
     def test_si_sdr_reports_equal_at_any_jobs(self, tmp_path):
         """SI-SDR makes no BLAS call, so the scores of an MVDR run-all do not
