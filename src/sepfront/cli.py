@@ -11,11 +11,13 @@ import argparse
 import contextlib
 import copy
 import ctypes
+import functools
 import json
 import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -394,29 +396,43 @@ def _one_blas_thread():
 
 @contextlib.contextmanager
 def _scene_pool(jobs):
-    """Yield map(fn, items) for the per-scene tasks of one run.
+    """Yield map(fn, items, stage) for the per-scene tasks of one run; each
+    item leads with its scene's directory.
 
     With jobs > 1 every map of more than one item goes through one process
     pool of min(jobs, items) workers, started at the first such map and shut
     down when the block ends. Each worker keeps its heap between scenes
-    (_keep_heap); the pool leaves the parent's allocator as it is.
+    (_keep_heap); the pool leaves the parent's allocator as it is. A worker
+    that dies, as the kernel's OOM killer ends one, is an InputError naming
+    the stage and the scenes left unfinished.
     """
     pool = None
 
-    def scene_map(fn, items):
+    def scene_map(fn, items, stage="a stage"):
         nonlocal pool
         if jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if pool is None:
             pool = ProcessPoolExecutor(max_workers=min(jobs, len(items)),
                                        initializer=_keep_heap)
-        return list(pool.map(fn, items))
+        futures = [pool.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            pool.shutdown(wait=False)
+            pool = None
+            lost = [repr(item[0].name) for item, future in zip(items, futures)
+                    if isinstance(future.exception(), BrokenProcessPool)]
+            more = ", ..." if len(lost) > 3 else ""
+            raise InputError(f"a scene worker died (killed, or out of memory) while {stage} "
+                             f"ran scene(s) {', '.join(lost[:3])}{more} "
+                             f"({len(lost)} unfinished)") from exc
 
     try:
         yield scene_map
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if pool is not None:  # a failed scene's stage leaves the rest unstarted
+            pool.shutdown(cancel_futures=True)
 
 
 def cmd_simulate(config, scene_map=map):
@@ -427,13 +443,13 @@ def cmd_simulate(config, scene_map=map):
     # each task carries the manifest's defaults, not every scene of it
     defaults = {key: manifest[key] for key in ("geometry", "sample_rate") if key in manifest}
     # scenes without their own seed get a distinct deterministic one
-    args = [(scene, defaults, config["scene_manifest"], config["seed"] + i, scene_dir,
+    args = [(scene_dir, scene, defaults, config["scene_manifest"], config["seed"] + i,
              config["wav_format"]) for i, (scene, scene_dir) in enumerate(scenes)]
     list(scene_map(_simulate_one, args))
 
 
 def _simulate_one(arg):
-    scene, defaults, manifest_path, global_seed, scene_dir, fmt = arg
+    scene_dir, scene, defaults, manifest_path, global_seed, fmt = arg
     with _naming(before=f"scene manifest {manifest_path}: scene {scene['id']!r}: "):
         spec = _scene_spec(scene, defaults, Path(manifest_path).parent, global_seed)
         rendered = simulate.render_scene(spec)
@@ -655,15 +671,13 @@ def render_table(records, report, metric_name):
 def run(config):
     """Run the configured stages, each on the scenes of scene_manifest, through
     one scene pool."""
-    command = config["command"]
+    report = None
     with _one_blas_thread(), _scene_pool(config["jobs"]) as scene_map:
-        if command in ("simulate", "run-all"):
-            cmd_simulate(config, scene_map)
-        if command in ("separate", "run-all"):
-            cmd_separate(config, scene_map)
-        if command in ("evaluate", "run-all"):
-            return cmd_evaluate(config, scene_map)
-    return None
+        for stage, cmd in (("simulate", cmd_simulate), ("separate", cmd_separate),
+                           ("evaluate", cmd_evaluate)):
+            if config["command"] in (stage, "run-all"):
+                report = cmd(config, functools.partial(scene_map, stage=stage))
+    return report
 
 
 def build_parser():

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import ctypes
 import json
@@ -14,6 +15,7 @@ import pytest
 import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.io import wavfile
+from scipy.io.wavfile import WavFileWarning
 
 import pilot_suite
 from conftest import speech_like
@@ -1205,6 +1207,24 @@ class TestSceneFiles:
             for key in ("input_db", "output_db", "assignment"):
                 assert record[key] == scored[key]
 
+    @pytest.mark.parametrize("offset, value, warns", [(23, 86, False), (33, 95, False),
+                                                      (51, 21, True)],
+                             ids=["channels", "block-align", "data-chunk-id"])
+    def test_mixture_header_byte_exit_code(self, offset, value, warns, tmp_path, capsys):
+        """One changed header byte of mixture.wav that scipy's reader fails on
+        in its own code (a ZeroDivisionError, a TypeError, and after a skipped
+        chunk an UnboundLocalError) makes separate exit 3 naming the file."""
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        path = tmp_path / "out" / "scenes" / "scene_0000" / "mixture.wav"
+        wav = bytearray(path.read_bytes())
+        wav[offset] = value
+        path.write_bytes(bytes(wav))
+        with pytest.warns(WavFileWarning) if warns else contextlib.nullcontext():
+            assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
     def test_nan_beside_the_reference_row_exit_code(self, tmp_path, capsys):
         """separate and evaluate decode only the reference row of source_1.wav,
         but a NaN in another of its channels still fails both, naming it."""
@@ -1407,6 +1427,14 @@ def _separate_recording_blas_threads(arg):
     (arg[0] / "blas_threads.json").write_text(json.dumps(_pool_blas_threads(None)))
 
 
+def _separate_or_die(arg):
+    """cli's separate task, except that the worker given scene_0001 dies, as
+    one the kernel's OOM killer ends."""
+    if arg[0].name == "scene_0001":
+        os._exit(137)
+    SEPARATE_ONE(arg)
+
+
 def _second_allocation_faults(_):
     """Minor page faults of this process while it makes, writes and frees a
     20 MiB array for the second time."""
@@ -1603,6 +1631,23 @@ class TestScenePool:
         assert threads(openblas) == [parent] * len(openblas)
         if bad_scene:
             assert "'scene_0002'" in capsys.readouterr().err
+
+    def test_dead_worker_exit_code(self, pools, monkeypatch, tmp_path, capsys):
+        """A worker that dies mid-stage ends the run in exit 3, naming the
+        stage and the scene, and its scene gets no flags.json."""
+        monkeypatch.setattr(cli, "_separate_one", _separate_or_die)
+        copies = cli._bundled_openblas()
+        before = threads(copies)
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out", jobs=2)
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_INPUT
+        assert pools == [2]
+        err = capsys.readouterr().err
+        assert err.startswith("input error: a scene worker died (killed, or out of memory) "
+                              "while separate ran scene(s) ")
+        assert "'scene_0001'" in err
+        assert not (tmp_path / "out" / "scenes" / "scene_0001" / "flags.json").exists()
+        assert threads(copies) == before
 
     def test_runs_without_openblas(self, monkeypatch, pools, tmp_path):
         monkeypatch.setattr(cli, "_bundled_openblas", lambda: [])
