@@ -37,11 +37,10 @@ def read_wav(path, rows=None):
         rate, data = wavfile.read(path)
     except (ValueError, OSError) as exc:  # not a WAV, or not a readable file
         raise InputError(f"{path}: {exc}") from exc
-    # header fields that scipy's reader uses unchecked (a zero block size, a
-    # missing fmt chunk, a size past any memory) fail in its own code
+    # header fields that scipy's reader uses unchecked (a zero sample width, a
+    # missing data chunk, a size past any memory) fail in its own code
     except (TypeError, ZeroDivisionError, UnboundLocalError, struct.error, MemoryError) as exc:
-        raise InputError(f"{path}: not a readable WAV header "
-                         f"({type(exc).__name__}: {exc})") from exc
+        raise InputError(f"{path}: cannot read it as a WAV ({type(exc).__name__}: {exc})") from exc
     if data.ndim == 1:
         data = data[:, np.newaxis]
     if data.dtype not in (np.int16, np.int32, np.float32, np.float64):

@@ -1411,7 +1411,7 @@ class TestRunAll:
             assert ra["output_db"] == rb["output_db"]
 
 
-# the scene tasks as cli defines them, for the tests that patch them
+# cli's separate task as it defines it, for the tests that patch it
 SEPARATE_ONE = cli._separate_one
 
 
