@@ -1,6 +1,7 @@
 """WAV file reading and writing (RIFF, PCM16 or IEEE float32)."""
 
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,16 @@ def read_wav(path, rows=None):
     of the decoded rows whose file_channels is the file's channel count.
     """
     try:
-        rate, data = wavfile.read(path)
-    except (ValueError, OSError) as exc:  # not a WAV, or not a readable file
+        with warnings.catch_warnings():
+            # a chunk scipy does not know is skipped, as it skips LIST and JUNK;
+            # its other warnings (a RIFF size past the end of the file, a cut
+            # chunk ID) mean the file is truncated
+            warnings.filterwarnings("error", category=wavfile.WavFileWarning)
+            warnings.filterwarnings("ignore", r"Chunk \(non-data\) not understood",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    # not a WAV, not a readable file, or a truncated one
+    except (ValueError, OSError, wavfile.WavFileWarning) as exc:
         raise InputError(f"{path}: {exc}") from exc
     # header fields that scipy's reader uses unchecked (a zero sample width, a
     # missing data chunk, a size past any memory) fail in its own code
@@ -64,44 +73,35 @@ class StoredWaveform:
     sample_rate: int
 
 
-def write_wav(path, waveform, fmt="float32"):
-    """Write a MultichannelWaveform; fmt is "float32" (default) or "pcm16".
-    A StoredWaveform, which encode made and checked, is written as it is."""
+def write_wav(path, waveform):
+    """Write a StoredWaveform as it is stored (encode made and checked it), or
+    a MultichannelWaveform as float32."""
     if not isinstance(waveform, StoredWaveform):
-        waveform = encode(waveform, fmt, f"{path}: ")
+        waveform = encode(waveform, "float32", f"{path}: ")
     wavfile.write(path, waveform.sample_rate, waveform.data.T)
 
 
 def encode(waveform, fmt, where=""):
-    """The StoredWaveform that a WAV of fmt holding waveform stores. A
-    non-finite sample, or in float32 one beyond its range, is an InputError,
-    prefixed by where."""
-    return StoredWaveform(_encode(waveform.samples, fmt, where), waveform.sample_rate)
-
-
-def quantize(samples, fmt, where=""):
-    """The float64 samples that a WAV of fmt holding samples reads back as:
-    pcm16 clips to [-1, 32767/32768] and rounds half to even, float32 casts.
-    A non-finite sample, or one beyond the float32 range, is an InputError,
-    prefixed by where."""
-    return _decode(_encode(samples, fmt, where))
-
-
-def _encode(samples, fmt, where):
-    """int16 for pcm16, float32 for float32: channels x length, with the
-    channels of each sample adjacent in memory, as the file interleaves them."""
+    """The StoredWaveform that a WAV of fmt holding waveform stores: pcm16
+    clips to [-1, 32767/32768] and rounds half to even into int16, float32
+    casts. Its data is channels x length, with the channels of each sample
+    adjacent in memory, as the file interleaves them. A non-finite sample, or
+    in float32 one beyond its range, is an InputError, prefixed by where."""
     if fmt not in WAV_FORMATS:
         raise InputError(f"{where}unsupported WAV format: {fmt!r}")
+    samples = waveform.samples
     peak = max(samples.max(initial=0.0), -samples.min(initial=0.0))  # NaN if any sample is
     if not np.isfinite(peak):
         raise InputError(f"{where}non-finite sample (NaN or Inf)")
     if fmt == "float32":
         if peak > FLOAT32_MAX:
             raise InputError(f"{where}samples beyond the float32 range (|x| > {FLOAT32_MAX:.6g})")
-        return samples.astype(np.float32, order="F")
-    scale = FULL_SCALE[np.dtype(np.int16)]
-    scaled = np.clip(samples, -1.0, (scale - 1.0) / scale) * scale
-    return np.round(scaled, out=scaled).astype(np.int16, order="F")
+        data = samples.astype(np.float32, order="F")
+    else:
+        scale = FULL_SCALE[np.dtype(np.int16)]
+        data = np.clip(samples, -1.0, (scale - 1.0) / scale) * scale
+        data = np.round(data, out=data).astype(np.int16, order="F")
+    return StoredWaveform(data, waveform.sample_rate)
 
 
 def _decode(data):
