@@ -1285,6 +1285,21 @@ class TestSceneFiles:
         assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"input error: {path}: Reached EOF")
 
+    def test_truncated_mixture_message_is_one_line(self, tmp_path, capsys):
+        """The input error of a mixture.wav cut by 10 frames is one line that
+        names the file and the bytes it lacks, and the scene's suffix follows
+        the reader's message with no stray period."""
+        manifest = write_manifest(tmp_path, num_scenes=1)  # 4 float32 channels
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        path = tmp_path / "out" / "scenes" / "scene_0000" / "mixture.wav"
+        path.write_bytes(path.read_bytes()[:-10 * 4 * 4])
+        assert run_main(tmp_path, config, "separate") == cli.EXIT_INPUT
+        (line,) = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("input error:")]
+        assert f"{path}: " in line and "runs 160 bytes past the end" in line
+        assert ".," not in line
+
     def test_nan_beside_the_reference_row_exit_code(self, tmp_path, capsys):
         """separate and evaluate decode only the reference row of source_1.wav,
         but a NaN in another of its channels still fails both, naming it."""

@@ -432,19 +432,28 @@ class TestPitAssign:
         with pytest.raises(InputError):
             pit_assign([[np.nan, 1.0], [1.0, 0.0]])
 
-    def test_importing_the_cli_leaves_out_the_assignment_solver(self):
-        """Only pit_assign above EXHAUSTIVE_LIMIT streams uses scipy.optimize,
-        so a fresh interpreter that imports sepfront.cli has not loaded it."""
+    @staticmethod
+    def loaded_by_importing_the_cli(module):
+        """Whether a fresh interpreter that imports sepfront.cli has loaded module."""
         src = str(Path(metrics.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, sepfront.cli; print('scipy.optimize' in sys.modules)"],
+            [sys.executable, "-c", f"import sys, sepfront.cli; print({module!r} in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        assert child.stdout.strip() == "False"
+        return child.stdout.strip() == "True"
+
+    def test_importing_the_cli_leaves_out_the_assignment_solver(self):
+        """Only pit_assign above EXHAUSTIVE_LIMIT streams uses scipy.optimize,
+        so a fresh interpreter that imports sepfront.cli has not loaded it."""
+        assert not self.loaded_by_importing_the_cli("scipy.optimize")
+
+    def test_importing_the_cli_leaves_out_scipy_io(self):
+        """audio_io reads and writes RIFF itself, so no part of sepfront
+        imports scipy.io."""
+        assert not self.loaded_by_importing_the_cli("scipy.io")
 
 
 class TestScoreMatrix:
