@@ -670,7 +670,17 @@ def render_table(records, report, metric_name):
 
 def run(config):
     """Run the configured stages, each on the scenes of scene_manifest, through
-    one scene pool."""
+    one scene pool.
+
+    A run that scores CI-SDR imports its scipy modules first, before the BLAS
+    cap and the pool's fork: the workers inherit them rather than each
+    importing them, and their objects sit below the scene heap. Imported by
+    the first ci_sdr call instead, they sat amid it, and a second 1-scene
+    run-all took about 2500 minor faults, not a few.
+    """
+    if config["command"] in ("evaluate", "run-all") and config["metric"]["name"] == "ci_sdr":
+        import scipy.fft  # noqa: F401
+        import scipy.linalg  # noqa: F401
     report = None
     with _one_blas_thread(), _scene_pool(config["jobs"]) as scene_map:
         for stage, cmd in (("simulate", cmd_simulate), ("separate", cmd_separate),

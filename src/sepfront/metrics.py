@@ -5,6 +5,12 @@ after the best short FIR fit (least squares from its normal equations, with
 correlations taken block by block). The composite loss combines waveform and
 STFT-magnitude L1 terms. PIT alignment minimizes total cost over
 stream-to-reference permutations.
+
+Each function that calls scipy imports the module it calls where it calls
+it: CI-SDR scipy.fft and scipy.linalg, pit_assign above EXHAUSTIVE_LIMIT
+streams scipy.optimize. So importing sepfront loads none of them, and a
+process that scores only SI-SDR never does. A caller that forks workers or
+sets BLAS thread counts imports them first (cli.run does, for CI-SDR).
 """
 
 from dataclasses import dataclass
@@ -12,8 +18,6 @@ from itertools import permutations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import next_fast_len
-from scipy.linalg import cho_factor, cho_solve
 
 from .dsp import MultichannelWaveform, stft
 from .errors import ConfigurationError, InputError
@@ -155,6 +159,9 @@ def _fir_system(reference, taps):
     last = _last_system
     if last is not None and last[0] == taps and np.array_equal(last[1], reference):
         return last[2:]
+    from scipy.fft import next_fast_len
+    from scipy.linalg import cho_factor
+
     energy = np.sum(reference * reference)
     if energy == 0.0:
         raise InputError("reference signal is all-zero")
@@ -194,12 +201,15 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
     the fitted signal itself is formed only when the residual is too small
     for that difference to keep its digits. Its LAPACK calls are scipy's, and
     it makes no numpy BLAS call, so it keeps one BLAS thread pool busy, not
-    two.
+    two. Its first call in a process imports scipy.fft and scipy.linalg.
     """
     est, ref = _as_pair(estimate, reference)
     taps = config.ci_sdr_taps
     if len(ref) < taps:
         raise InputError(f"signals of length {len(ref)} shorter than the {taps}-tap filter")
+    from scipy.fft import next_fast_len
+    from scipy.linalg import cho_solve
+
     n, spectra, ridge, factor = _fir_system(ref, taps)
     cross = _lags(est, n, spectra, taps)
     h = cho_solve(factor, cross, check_finite=False)

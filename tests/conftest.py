@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,3 +44,13 @@ def traced_peak_mib(task, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def fresh_python(code, *args, timeout=300):
+    """The completed `python -c code *args` of a fresh interpreter that finds
+    the sepfront under test and this directory's modules first on its path."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent),
+             os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=timeout)

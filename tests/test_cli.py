@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.io import wavfile
 
 import pilot_suite
-from conftest import speech_like
+from conftest import fresh_python, speech_like
 from sepfront import audio_io, beamform, cli, metrics, simulate, tensorio
 from sepfront.beamform import separate_mvdr
 from sepfront.dsp import StftConfig
@@ -1522,6 +1522,29 @@ def _second_allocation_faults(_):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
+# `sepfront *argv` with cli's evaluate task failing unless scipy.linalg is
+# loaded; the wrapper takes the task's name, so the pool sends it by that name
+EVALUATE_WITH_SCIPY_LOADED = """
+import functools
+import sys
+
+from sepfront import cli
+
+evaluate_one = cli._evaluate_one
+
+
+@functools.wraps(evaluate_one)
+def checked(arg):
+    if "scipy.linalg" not in sys.modules:
+        raise RuntimeError("a CI-SDR scene task started before scipy.linalg was imported")
+    return evaluate_one(arg)
+
+
+cli._evaluate_one = checked
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Counts the process pools the CLI constructs."""
@@ -1820,6 +1843,26 @@ class TestScenePool:
                                 separator={"method": "masking"}, metric={"name": "ci_sdr"}))
             runs.append(outputs_of(out_dir))
         assert len(runs[0][1]) == 4
+        assert runs[0] == runs[1]
+
+    def test_ci_sdr_scene_tasks_start_with_scipy_loaded(self, tmp_path):
+        """In a fresh interpreter a CI-SDR run-all has imported scipy.linalg
+        before its first scene task starts, in the pool's workers too, and it
+        scores the same at any jobs. pytest's own process has loaded scipy.linalg
+        already, so only a fresh one shows the order."""
+        manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"separator": {"method": "masking"},
+                                      "metric": {"name": "ci_sdr"}}))
+        runs = []
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"jobs{jobs}"
+            child = fresh_python(EVALUATE_WITH_SCIPY_LOADED, "--config", config,
+                                 "--scene-manifest", manifest, "--output-dir", out_dir,
+                                 "--jobs", jobs)
+            assert child.returncode == cli.EXIT_OK, child.stderr
+            runs.append(outputs_of(out_dir))
+        assert len(runs[0][1]) == 2
         assert runs[0] == runs[1]
 
     def test_si_sdr_reports_equal_at_any_jobs(self, tmp_path):

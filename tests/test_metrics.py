@@ -1,15 +1,11 @@
-import os
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import speech_like
+from conftest import fresh_python, speech_like
 from sepfront import cli, metrics
 from sepfront.dsp import MultichannelWaveform, StftConfig, stft
 from sepfront.errors import InputError
@@ -435,13 +431,8 @@ class TestPitAssign:
     @staticmethod
     def loaded_by_importing_the_cli(module):
         """Whether a fresh interpreter that imports sepfront.cli has loaded module."""
-        src = str(Path(metrics.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        child = subprocess.run(
-            [sys.executable, "-c", f"import sys, sepfront.cli; print({module!r} in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        child = fresh_python(f"import sys, sepfront.cli; print({module!r} in sys.modules)",
+                             timeout=120)
         assert child.returncode == 0, child.stderr
         return child.stdout.strip() == "True"
 
@@ -454,6 +445,13 @@ class TestPitAssign:
         """audio_io reads and writes RIFF itself, so no part of sepfront
         imports scipy.io."""
         assert not self.loaded_by_importing_the_cli("scipy.io")
+
+    @pytest.mark.parametrize("module", ["scipy.linalg", "scipy.fft", "scipy.signal"])
+    def test_importing_the_cli_leaves_out_what_only_ci_sdr_uses(self, module):
+        """CI-SDR imports scipy.linalg and scipy.fft where it calls them, and
+        nothing in sepfront uses scipy.signal, so a run that scores SI-SDR
+        loads none of them."""
+        assert not self.loaded_by_importing_the_cli(module)
 
 
 class TestScoreMatrix:
