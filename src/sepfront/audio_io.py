@@ -146,7 +146,8 @@ class StoredWaveform:
 
 def write_wav(path, waveform):
     """Write a StoredWaveform as it is stored (encode made and checked it), or
-    a MultichannelWaveform as float32."""
+    a MultichannelWaveform as float32. A failed write is an InputError that
+    names the file."""
     if not isinstance(waveform, StoredWaveform):
         waveform = encode(waveform, "float32", f"{path}: ")
     channels, frames = waveform.data.shape
@@ -162,9 +163,12 @@ def write_wav(path, waveform):
     riff_size = len(chunks) + 4 + nbytes
     if riff_size > 0xFFFFFFFF:
         raise InputError(f"{path}: {nbytes} bytes of samples are more than a RIFF WAV holds")
-    with open(path, "wb") as f:
-        f.write(b"RIFF" + struct.pack("<I", riff_size) + chunks + struct.pack("<I", nbytes))
-        waveform.data.T.tofile(f)  # sample by sample, its channels adjacent
+    try:
+        with open(path, "wb") as f:
+            f.write(b"RIFF" + struct.pack("<I", riff_size) + chunks + struct.pack("<I", nbytes))
+            waveform.data.T.tofile(f)  # sample by sample, its channels adjacent
+    except OSError as exc:  # a short tofile write names no file
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def encode(waveform, fmt, where=""):

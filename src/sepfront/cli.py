@@ -12,6 +12,7 @@ import contextlib
 import copy
 import ctypes
 import functools
+import importlib.util
 import json
 import sys
 import time
@@ -21,7 +22,6 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, audio_io, beamform, masks, metrics, simulate
 from .dsp import MultichannelWaveform, StftConfig, stft  # noqa: F401  (perfbench traces cli.stft)
@@ -47,6 +47,9 @@ DEFAULT_CONFIG = {
 COMMANDS = ("simulate", "separate", "evaluate", "run-all")
 
 SEPARATION_METHODS = ("mvdr", "masking")
+
+# what evaluate writes in output_dir
+REPORT_FILES = ("report.jsonl", "report.json", "report.txt")
 
 
 class _Key:
@@ -209,6 +212,16 @@ def _read_json(path, what, error, step=None):
     return document
 
 
+def _write_text(path, text):
+    """Write text to the file at path; a failed write is an InputError that
+    names the file."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _check(value, spec, name, where, error):
     """Check a JSON value, found under the dotted key name, against its schema
     entry, and everything it holds against theirs. The first failure raises
@@ -331,12 +344,14 @@ def _clear_separation(scene_dir):
 
 def _bundled_openblas():
     """[(get, set)] thread-count functions of each OpenBLAS bundled in
-    numpy's and scipy's wheels; a wheel built against another BLAS adds none."""
+    numpy's and scipy's wheels; a wheel built against another BLAS adds none.
+    scipy's package is found, not imported, so importing the CLI loads no
+    part of scipy."""
     found = []
-    for wheel in (np, scipy):
-        libs = Path(wheel.__file__).parent.parent / f"{wheel.__name__}.libs"
+    for wheel in ("numpy", "scipy"):
+        libs = Path(importlib.util.find_spec(wheel).origin).parent.parent / f"{wheel}.libs"
         for path in sorted(libs.glob("*openblas*.so*")):
-            lib = ctypes.CDLL(str(path))  # the copy the wheel already loaded
+            lib = ctypes.CDLL(str(path))  # the copy the wheel loaded, or loads later
             for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
                 get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
                 if get is not None and set_ is not None:
@@ -469,6 +484,8 @@ def _simulate_one(arg):
             if not np.any(source.data[ref_mic]):
                 raise InputError(f"source {k} is silent at reference mic {ref_mic}")
         scene_dir.mkdir(exist_ok=True)
+        # scene.json, written last, marks a complete render
+        (scene_dir / "scene.json").unlink(missing_ok=True)
         _clear_separation(scene_dir)
         for name, waveform in zip(names, stored):
             audio_io.write_wav(scene_dir / name, waveform)
@@ -484,8 +501,7 @@ def _simulate_one(arg):
                         for src in spec.sources],
             "noise": None if noise is None else {"kind": noise.kind, "snr_db": noise.snr_db},
         }
-        with open(scene_dir / "scene.json", "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
+        _write_text(scene_dir / "scene.json", json.dumps(record, indent=2, sort_keys=True))
 
 
 def _open_scene(scene_dir, reference_only=False):
@@ -585,8 +601,8 @@ def _separate_one(arg):
             raise NumericalError(str(exc)) from exc
         for k, est in enumerate(stored, start=1):
             audio_io.write_wav(scene_dir / f"est_{k}.wav", est)
-        with open(scene_dir / "flags.json", "w", encoding="utf-8") as f:
-            json.dump({"method": method, "per_speaker": flags}, f, indent=2, sort_keys=True)
+        _write_text(scene_dir / "flags.json",
+                    json.dumps({"method": method, "per_speaker": flags}, indent=2, sort_keys=True))
 
 
 def cmd_evaluate(config, scene_map=map):
@@ -611,13 +627,11 @@ def cmd_evaluate(config, scene_map=map):
         },
     }
     out_dir = Path(config["output_dir"])
-    with open(out_dir / "report.jsonl", "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(out_dir / "report.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as f:
-        f.write(render_table(records, report, metric_name))
+    texts = ("".join(json.dumps(record, sort_keys=True) + "\n" for record in records),
+             json.dumps(report, indent=2, sort_keys=True),
+             render_table(records, report, metric_name))
+    for name, text in zip(REPORT_FILES, texts):
+        _write_text(out_dir / name, text)
     report["records"] = records
     return report
 
@@ -672,15 +686,21 @@ def run(config):
     """Run the configured stages, each on the scenes of scene_manifest, through
     one scene pool.
 
-    A run that scores CI-SDR imports its scipy modules first, before the BLAS
-    cap and the pool's fork: the workers inherit them rather than each
-    importing them, and their objects sit below the scene heap. Imported by
-    the first ci_sdr call instead, they sat amid it, and a second 1-scene
+    A run that writes reports (evaluate, run-all) first deletes the ones an
+    earlier run wrote, so a run that fails at any stage leaves none; evaluate
+    writes them only once every scene is scored.
+
+    A run that scores CI-SDR imports scipy.linalg first, before the BLAS cap
+    and the pool's fork: the workers inherit it rather than each importing
+    it, and its objects sit below the scene heap. Imported by the first
+    ci_sdr call instead, scipy's objects sat amid it, and a second 1-scene
     run-all took about 2500 minor faults, not a few.
     """
-    if config["command"] in ("evaluate", "run-all") and config["metric"]["name"] == "ci_sdr":
-        import scipy.fft  # noqa: F401
-        import scipy.linalg  # noqa: F401
+    if config["command"] in ("evaluate", "run-all"):
+        for name in REPORT_FILES:
+            (Path(config["output_dir"]) / name).unlink(missing_ok=True)
+        if config["metric"]["name"] == "ci_sdr":
+            import scipy.linalg  # noqa: F401
     report = None
     with _one_blas_thread(), _scene_pool(config["jobs"]) as scene_map:
         for stage, cmd in (("simulate", cmd_simulate), ("separate", cmd_separate),

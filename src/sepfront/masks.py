@@ -55,7 +55,9 @@ class MaskSet:
 
     @classmethod
     def load(cls, path, num_speakers):
-        masks = np.asarray(tensorio.load_tensor(path), dtype=np.float64)
+        # a signaling NaN would warn in the cast; MaskSet rejects it as any NaN
+        with np.errstate(invalid="ignore"):
+            masks = tensorio.load_tensor(path).astype(np.float64)
         try:
             return cls(np.clip(masks, 0.0, None), num_speakers)
         except InputError as exc:

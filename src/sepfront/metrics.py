@@ -7,10 +7,11 @@ STFT-magnitude L1 terms. PIT alignment minimizes total cost over
 stream-to-reference permutations.
 
 Each function that calls scipy imports the module it calls where it calls
-it: CI-SDR scipy.fft and scipy.linalg, pit_assign above EXHAUSTIVE_LIMIT
-streams scipy.optimize. So importing sepfront loads none of them, and a
-process that scores only SI-SDR never does. A caller that forks workers or
-sets BLAS thread counts imports them first (cli.run does, for CI-SDR).
+it: CI-SDR scipy.linalg, pit_assign above EXHAUSTIVE_LIMIT streams
+scipy.optimize. So importing sepfront loads no part of scipy, and a process
+that scores only SI-SDR never does. CI-SDR finds its FFT lengths itself
+(_next_fast_len), not with scipy.fft. A caller that forks workers or sets
+BLAS thread counts imports scipy.linalg first (cli.run does, for CI-SDR).
 """
 
 from dataclasses import dataclass
@@ -120,6 +121,21 @@ _last_system = None
 _IDENTITY_ERROR_FLOOR = 1e-3
 
 
+def _next_fast_len(n):
+    """The smallest 2**a * 3**b * 5**c >= n, which is what
+    scipy.fft.next_fast_len(n, real=True) gives, in exact integers: for each
+    3**b * 5**c below the best length yet, the least power of 2 it needs."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _lags(signal, n, spectra, taps):
     """sum over t of signal[t + d] * reference[t] for the lags d = 0..taps-1.
 
@@ -159,14 +175,13 @@ def _fir_system(reference, taps):
     last = _last_system
     if last is not None and last[0] == taps and np.array_equal(last[1], reference):
         return last[2:]
-    from scipy.fft import next_fast_len
     from scipy.linalg import cho_factor
 
     energy = np.sum(reference * reference)
     if energy == 0.0:
         raise InputError("reference signal is all-zero")
     L = len(reference)
-    n = next_fast_len(max(4 * taps, 1024), real=True)
+    n = _next_fast_len(max(4 * taps, 1024))
     hop = n - taps + 1
     count = -(-L // hop)
     blocks = np.zeros(count * hop)
@@ -201,13 +216,12 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
     the fitted signal itself is formed only when the residual is too small
     for that difference to keep its digits. Its LAPACK calls are scipy's, and
     it makes no numpy BLAS call, so it keeps one BLAS thread pool busy, not
-    two. Its first call in a process imports scipy.fft and scipy.linalg.
+    two. Its first call in a process imports scipy.linalg.
     """
     est, ref = _as_pair(estimate, reference)
     taps = config.ci_sdr_taps
     if len(ref) < taps:
         raise InputError(f"signals of length {len(ref)} shorter than the {taps}-tap filter")
-    from scipy.fft import next_fast_len
     from scipy.linalg import cho_solve
 
     n, spectra, ridge, factor = _fir_system(ref, taps)
@@ -219,7 +233,7 @@ def ci_sdr(estimate, reference, config=MetricConfig()):
     error = energy - fit - penalty
     if error > _IDENTITY_ERROR_FLOOR * energy:
         return _ratio_db(float(fit - penalty), float(error))
-    full = next_fast_len(len(ref) + taps - 1, real=True)
+    full = _next_fast_len(len(ref) + taps - 1)
     fitted = np.fft.irfft(np.fft.rfft(ref, full) * np.fft.rfft(h, full), full)[:len(ref)]
     return _ratio_db(float(np.sum(fitted * fitted)), float(np.sum((est - fitted) ** 2)))
 

@@ -1523,7 +1523,9 @@ def _second_allocation_faults(_):
 
 
 # `sepfront *argv` with cli's evaluate task failing unless scipy.linalg is
-# loaded; the wrapper takes the task's name, so the pool sends it by that name
+# loaded when it starts and scipy.fft is not when it ends, and the run failing
+# if it loaded scipy.fft; the wrapper takes the task's name, so the pool sends
+# it by that name
 EVALUATE_WITH_SCIPY_LOADED = """
 import functools
 import sys
@@ -1537,11 +1539,30 @@ evaluate_one = cli._evaluate_one
 def checked(arg):
     if "scipy.linalg" not in sys.modules:
         raise RuntimeError("a CI-SDR scene task started before scipy.linalg was imported")
-    return evaluate_one(arg)
+    record = evaluate_one(arg)
+    if "scipy.fft" in sys.modules:
+        raise RuntimeError("a CI-SDR scene task loaded scipy.fft")
+    return record
 
 
 cli._evaluate_one = checked
-sys.exit(cli.main(sys.argv[1:]))
+code = cli.main(sys.argv[1:])
+if "scipy.fft" in sys.modules:
+    sys.exit("the run loaded scipy.fft")
+sys.exit(code)
+"""
+
+# `sepfront *argv` in a process whose files may not grow past argv[1] bytes;
+# CPython ignores SIGXFSZ, so a write past the limit fails with EFBIG
+RUN_WITH_FILE_SIZE_LIMIT = """
+import resource
+import sys
+
+from sepfront import cli
+
+_, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
@@ -1643,6 +1664,35 @@ class TestStageLineage:
         outputs, records = outputs_of(tmp_path / "staged")
         assert len(outputs) == 2 * 3 and len(records) == 2
         assert (outputs, records) == outputs_of(tmp_path / "all")
+
+    def test_failed_evaluate_leaves_no_report(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, num_scenes=2)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        assert len(list((tmp_path / "out").glob("report.*"))) == 3
+        missing = tmp_path / "out" / "scenes" / "scene_0001" / "est_1.wav"
+        missing.unlink()
+        assert run_main(tmp_path, config, "evaluate") == cli.EXIT_INPUT
+        assert str(missing) in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("report.*"))
+
+    def test_failed_write_names_its_file_and_leaves_no_render(self, tmp_path):
+        """A run-all over a scene rendered before, in a child that may write
+        no file past 100 kB, fails writing the 128 kB mixture.wav. The error
+        names it, and neither the first render's scene.json nor the first
+        run's reports are left. The limit is set in the child only."""
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        scene_dir = tmp_path / "out" / "scenes" / "scene_0000"
+        assert (scene_dir / "mixture.wav").stat().st_size > 100_000
+        child = fresh_python(RUN_WITH_FILE_SIZE_LIMIT, 100_000, "--command", "run-all",
+                             "--scene-manifest", manifest, "--output-dir", tmp_path / "out")
+        assert child.returncode == cli.EXIT_INPUT, child.stderr
+        assert f"{scene_dir / 'mixture.wav'}: " in child.stderr
+        assert "Traceback" not in child.stderr
+        assert not (scene_dir / "scene.json").exists()
+        assert not list((tmp_path / "out").glob("report.*"))
 
     @pytest.mark.parametrize("command", ["separate", "evaluate"])
     def test_stage_without_manifest_exit_code(self, command, tmp_path, capsys):
@@ -1847,9 +1897,9 @@ class TestScenePool:
 
     def test_ci_sdr_scene_tasks_start_with_scipy_loaded(self, tmp_path):
         """In a fresh interpreter a CI-SDR run-all has imported scipy.linalg
-        before its first scene task starts, in the pool's workers too, and it
-        scores the same at any jobs. pytest's own process has loaded scipy.linalg
-        already, so only a fresh one shows the order."""
+        before its first scene task starts, in the pool's workers too, never
+        loads scipy.fft, and scores the same at any jobs. pytest's own process
+        has loaded both already, so only a fresh one shows them."""
         manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=2)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"separator": {"method": "masking"},

@@ -1,4 +1,5 @@
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -357,6 +358,40 @@ class TestTensorFormat:
         assert tensor.dtype == np.float32
         assert tensor.size == int(np.prod(tensor.shape, dtype=object))
         assert 4 * tensor.size == len(body) - 4 - 4 * tensor.ndim
+
+    def test_changed_or_cut_tensor_loads_or_names_the_path(self, tmp_path):
+        """A float32 signaling NaN, then 2500 changes of 1 to 3 bytes of a
+        (3, 4, 5) mask tensor and 500 cuts: each loads as a MaskSet or is an
+        InputError naming the path; no other exception and no warning
+        (filterwarnings = error) escapes. The NaN's cast to float64 used to
+        warn 'invalid value encountered in cast'."""
+        rng = np.random.default_rng(31)
+        path = tmp_path / "m.tns"
+        MaskSet(rng.uniform(0.0, 1.0, (3, 4, 5)), 2).save(path)
+        original = path.read_bytes()
+        outcomes = Counter()
+        for trial in range(-1, 3000):
+            tensor = bytearray(original)
+            if trial < 0:
+                tensor[-4:] = struct.pack("<I", 0x7FA00000)  # quiet bit clear: signaling
+            elif trial < 500:
+                del tensor[rng.integers(len(tensor)):]
+            else:
+                for at in rng.choice(len(tensor), rng.integers(1, 4), replace=False):
+                    tensor[at] = rng.integers(256)
+            path.write_bytes(bytes(tensor))
+            try:
+                loaded = MaskSet.load(path, 2)
+            except InputError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                if trial < 0:
+                    assert "NaN is rejected" in str(exc)
+                outcomes["error"] += 1
+            else:
+                assert loaded.masks.dtype == np.float64
+                assert np.all(np.isfinite(loaded.masks)) and np.all(loaded.masks >= 0.0)
+                outcomes["load"] += 1
+        assert outcomes["load"] > 100 and outcomes["error"] > 100
 
     def test_nan_mask_rejected(self):
         masks = np.ones((2, 3, 4))

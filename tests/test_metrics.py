@@ -176,6 +176,17 @@ class TestCiSdrKernel:
     """The blocked-correlation fit and its normal-equation energies against
     the loop fit and a dense oracle."""
 
+    def test_fft_lengths_equal_scipy_next_fast_len(self):
+        """CI-SDR's own 5-smooth search gives scipy.fft's real-FFT length for
+        every n up to 2**17, at powers of 2 and their neighbours up to 2**44,
+        and at large n with a large 3 or 5 part."""
+        from scipy.fft import next_fast_len
+
+        large = [(1 << k) + d for k in range(17, 45) for d in (-1, 0, 1)]
+        large += [3 ** 20 + 1, 5 ** 15 - 1, 2 ** 10 * 3 ** 9 * 5 ** 7 + 1, 10 ** 12 + 7]
+        for n in [*range(1, (1 << 17) + 1), *large]:
+            assert metrics._next_fast_len(n) == next_fast_len(n, real=True), n
+
     def test_matches_loop_fit_on_speech_like_pairs(self, rng):
         for _ in range(4):
             ref = speech_like(rng, 64000)
@@ -446,11 +457,12 @@ class TestPitAssign:
         imports scipy.io."""
         assert not self.loaded_by_importing_the_cli("scipy.io")
 
-    @pytest.mark.parametrize("module", ["scipy.linalg", "scipy.fft", "scipy.signal"])
+    @pytest.mark.parametrize("module", ["scipy", "scipy.linalg", "scipy.fft", "scipy.signal"])
     def test_importing_the_cli_leaves_out_what_only_ci_sdr_uses(self, module):
-        """CI-SDR imports scipy.linalg and scipy.fft where it calls them, and
-        nothing in sepfront uses scipy.signal, so a run that scores SI-SDR
-        loads none of them."""
+        """CI-SDR imports scipy.linalg where it calls it, nothing in sepfront
+        uses scipy.fft or scipy.signal, and the CLI finds scipy's OpenBLAS
+        without importing scipy, so a run that scores SI-SDR loads no part of
+        scipy."""
         assert not self.loaded_by_importing_the_cli(module)
 
 
