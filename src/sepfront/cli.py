@@ -686,9 +686,9 @@ def run(config):
     """Run the configured stages, each on the scenes of scene_manifest, through
     one scene pool.
 
-    A run that writes reports (evaluate, run-all) first deletes the ones an
-    earlier run wrote, so a run that fails at any stage leaves none; evaluate
-    writes them only once every scene is scored.
+    Every run first deletes the reports an earlier run wrote, since any stage
+    replaces files they scored, and evaluate writes them only once every
+    scene is scored: so a run that fails at any stage leaves none.
 
     A run that scores CI-SDR imports scipy.linalg first, before the BLAS cap
     and the pool's fork: the workers inherit it rather than each importing
@@ -696,11 +696,10 @@ def run(config):
     ci_sdr call instead, scipy's objects sat amid it, and a second 1-scene
     run-all took about 2500 minor faults, not a few.
     """
-    if config["command"] in ("evaluate", "run-all"):
-        for name in REPORT_FILES:
-            (Path(config["output_dir"]) / name).unlink(missing_ok=True)
-        if config["metric"]["name"] == "ci_sdr":
-            import scipy.linalg  # noqa: F401
+    for name in REPORT_FILES:
+        (Path(config["output_dir"]) / name).unlink(missing_ok=True)
+    if config["command"] in ("evaluate", "run-all") and config["metric"]["name"] == "ci_sdr":
+        import scipy.linalg  # noqa: F401
     report = None
     with _one_blas_thread(), _scene_pool(config["jobs"]) as scene_map:
         for stage, cmd in (("simulate", cmd_simulate), ("separate", cmd_separate),

@@ -1676,6 +1676,15 @@ class TestStageLineage:
         assert str(missing) in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("report.*"))
 
+    @pytest.mark.parametrize("command", ["simulate", "separate"])
+    def test_stage_deletes_the_reports_it_outdates(self, command, tmp_path):
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        config = base_config(manifest, tmp_path / "out")
+        assert run_main(tmp_path, config, "run-all") == cli.EXIT_OK
+        assert len(list((tmp_path / "out").glob("report.*"))) == 3
+        assert run_main(tmp_path, config, command) == cli.EXIT_OK
+        assert not list((tmp_path / "out").glob("report.*"))
+
     def test_failed_write_names_its_file_and_leaves_no_render(self, tmp_path):
         """A run-all over a scene rendered before, in a child that may write
         no file past 100 kB, fails writing the 128 kB mixture.wav. The error
