@@ -3,8 +3,7 @@
 The CLI is a thin shell over the library API: every numeric output equals the
 corresponding in-memory composition on the same inputs. Every stage takes its
 scenes from the scene manifest, in canonical (sorted id) order, and all
-randomness is seeded, so identical configs produce identical outputs apart
-from the timing fields.
+randomness is seeded, so identical configs produce identical outputs.
 """
 
 import argparse
@@ -15,7 +14,6 @@ import functools
 import importlib.util
 import json
 import sys
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -639,7 +637,6 @@ def cmd_evaluate(config, scene_map=map):
 def _evaluate_one(arg):
     scene_dir, metric_name, metric_config = arg
     with _naming(after=f", scoring {scene_dir}"):
-        started = time.monotonic()
         # every file is checked whole, but only reference rows are decoded
         record, mixture = _open_scene(scene_dir, reference_only=True)
         ref_mic, rate, length = record["reference_mic"], mixture.sample_rate, mixture.num_samples
@@ -661,7 +658,6 @@ def _evaluate_one(arg):
             "mean_output_db": result["mean_db"],
             "assignment": list(result["assignment"].permutation),
             "flags": flags,
-            "timing_s": time.monotonic() - started,
         }
 
 

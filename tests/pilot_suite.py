@@ -39,6 +39,7 @@ SAMPLE_RATE = 16000
 DURATION_S = 4.0
 REFERENCE_MIC = 0
 MIN_SEPARATION_DEG = 30.0
+STFT_CONFIG = StftConfig(512, 128)
 
 PILOT_PATH = Path(__file__).parent / "data" / "pilot_mvdr.json"
 
@@ -87,13 +88,13 @@ def make_scene(index):
     )
 
 
-def mvdr_scene_scores(scene, stft_config=StftConfig(512, 128)):
+def mvdr_scene_scores(scene):
     """(input_db, aligned output_db) per reference speaker for oracle-IRM MVDR,
     scored by the same call as the CLI's evaluate stage."""
     images = [*scene.source_images, scene.noise_image]
-    mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", stft_config,
+    mask_set = oracle_mask_from_waveforms(scene.mixture, images, "irm", STFT_CONFIG,
                                           REFERENCE_MIC)
-    estimates, _ = separate_mvdr(scene.mixture, mask_set, stft_config, REFERENCE_MIC)
+    estimates, _ = separate_mvdr(scene.mixture, mask_set, STFT_CONFIG, REFERENCE_MIC)
 
     references = [image.channel(REFERENCE_MIC) for image in scene.source_images]
     result = evaluate_separation(scene.mixture.channel(REFERENCE_MIC),

@@ -110,6 +110,13 @@ def base_config(manifest, out_dir, **kwargs):
     return config
 
 
+def written_files(out_dir):
+    """{path under out_dir: bytes} of every file a run wrote there but
+    report.json, whose config echo records jobs, output_dir and command."""
+    return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*"))
+            if p.is_file() and p != out_dir / "report.json"}
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "entry, key",
@@ -224,6 +231,15 @@ class TestConfig:
 
         assert keys(documented) == keys(cli.DEFAULT_CONFIG)
         assert keys(cli.CONFIG_SCHEMA) == keys(cli.DEFAULT_CONFIG)
+
+    def test_readme_lists_the_keys_of_a_report_record(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A `report\.jsonl` record has these keys and no others:\n\n"
+                          r"((?:- .*\n)+)", readme)
+        documented = re.findall(r"^- `(\w+)`:", block.group(1), re.M)
+        manifest = write_manifest(tmp_path, num_scenes=1)
+        record = cli.run(base_config(manifest, tmp_path / "out"))["records"][0]
+        assert documented == list(record)
 
 
 # strings that valid configs and manifests hold, so that drawn documents are
@@ -594,11 +610,9 @@ class TestSimulate:
         config_b = base_config(manifest, tmp_path / "b")
         cli.cmd_simulate(config_a)
         cli.cmd_simulate(config_b)
-        for scene in ("scene_0000", "scene_0001"):
-            for name in ("mixture.wav", "source_1.wav", "source_2.wav", "noise.wav"):
-                assert (tmp_path / "a" / "scenes" / scene / name).read_bytes() == (
-                    tmp_path / "b" / "scenes" / scene / name
-                ).read_bytes()
+        files = written_files(tmp_path / "a")
+        assert len(files) == 2 * 5
+        assert files == written_files(tmp_path / "b")
 
     def test_decomposition_from_written_files(self, tmp_path):
         manifest = write_manifest(tmp_path, num_scenes=2)
@@ -1479,11 +1493,11 @@ class TestRunAll:
         manifest = write_manifest(tmp_path, num_scenes=3)
         serial = base_config(manifest, tmp_path / "serial", jobs=1)
         parallel = base_config(manifest, tmp_path / "parallel", jobs=3)
-        rep_a = cli.run(serial)
-        rep_b = cli.run(parallel)
-        for ra, rb in zip(rep_a["records"], rep_b["records"]):
-            assert ra["scene_id"] == rb["scene_id"]
-            assert ra["output_db"] == rb["output_db"]
+        cli.run(serial)
+        cli.run(parallel)
+        files = written_files(tmp_path / "serial")
+        assert len(files) == 3 * 8 + 2
+        assert files == written_files(tmp_path / "parallel")
 
 
 # cli's separate task as it defines it, for the tests that patch it
@@ -1606,18 +1620,6 @@ def worker_share(jobs):
     return max(1, len(os.sched_getaffinity(0)) // jobs)
 
 
-def outputs_of(out_dir):
-    """{path under out_dir: bytes} of a run's estimates and flags, and its
-    report.jsonl records without their timing."""
-    outputs = {p.relative_to(out_dir): p.read_bytes()
-               for pattern in ("scenes/*/est_*.wav", "scenes/*/flags.json")
-               for p in sorted(out_dir.glob(pattern))}
-    records = [json.loads(line) for line in (out_dir / "report.jsonl").read_text().splitlines()]
-    for record in records:
-        del record["timing_s"]
-    return outputs, records
-
-
 class TestStageLineage:
     """Every stage takes its scenes from scene_manifest, and a render deletes
     the scene's separation, so no stage scores what an earlier run left."""
@@ -1661,9 +1663,9 @@ class TestStageLineage:
             assert run_main(tmp_path, staged, command) == cli.EXIT_OK
         assert run_main(tmp_path, base_config(manifest, tmp_path / "all", jobs=jobs),
                         "run-all") == cli.EXIT_OK
-        outputs, records = outputs_of(tmp_path / "staged")
-        assert len(outputs) == 2 * 3 and len(records) == 2
-        assert (outputs, records) == outputs_of(tmp_path / "all")
+        files = written_files(tmp_path / "staged")
+        assert len(files) == 2 * 8 + 2
+        assert files == written_files(tmp_path / "all")
 
     def test_failed_evaluate_leaves_no_report(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, num_scenes=2)
@@ -1870,38 +1872,20 @@ class TestScenePool:
         assert made == [(cli.M_MMAP_THRESHOLD, 32 << 20),
                         (cli.M_TRIM_THRESHOLD, 512 << 20)][:calls]
 
-    def test_jobs_give_identical_outputs_on_pilot_scenes(self, tmp_path):
-        manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=2)
-        for method, metric in (("mvdr", "si_sdr"), ("masking", "ci_sdr")):
-            outputs, reports = {}, {}
-            for jobs in (1, 2):
-                out_dir = tmp_path / f"{method}-jobs{jobs}"
-                config = base_config(manifest, out_dir, jobs=jobs,
-                                     separator={"method": method}, metric={"name": metric})
-                reports[jobs] = cli.run(config)["records"]
-                outputs[jobs] = {
-                    p.relative_to(out_dir): p.read_bytes()
-                    for pattern in ("scenes/*/est_*.wav", "scenes/*/flags.json")
-                    for p in sorted(out_dir.glob(pattern))
-                }
-            assert len(outputs[1]) == 2 * 3
-            assert outputs[1] == outputs[2]
-            for serial, parallel in zip(reports[1], reports[2]):
-                assert serial["scene_id"] == parallel["scene_id"]
-                for key in ("input_db", "output_db"):
-                    assert serial[key] == parallel[key]
-
-    def test_ci_sdr_reports_equal_at_any_jobs(self, tmp_path):
-        """CI-SDR's Cholesky follows the BLAS thread count, which is one for
-        every scene task, so a masking run-all scores the same at any jobs."""
+    @pytest.mark.parametrize("method, metric", [("mvdr", "si_sdr"), ("masking", "ci_sdr")])
+    def test_jobs_give_identical_outputs_on_pilot_scenes(self, method, metric, tmp_path):
+        """Every file a run-all writes but report.json is the same, byte for
+        byte, at jobs 1 and at jobs 2, where each worker scores two scenes.
+        SI-SDR makes no BLAS call, and CI-SDR's Cholesky follows the BLAS
+        thread count, which run sets to one for every scene task."""
         manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=4)
         runs = []
         for jobs in (1, 2):
             out_dir = tmp_path / f"jobs{jobs}"
             cli.run(base_config(manifest, out_dir, jobs=jobs,
-                                separator={"method": "masking"}, metric={"name": "ci_sdr"}))
-            runs.append(outputs_of(out_dir))
-        assert len(runs[0][1]) == 4
+                                separator={"method": method}, metric={"name": metric}))
+            runs.append(written_files(out_dir))
+        assert len(runs[0]) == 4 * 8 + 2
         assert runs[0] == runs[1]
 
     def test_ci_sdr_scene_tasks_start_with_scipy_loaded(self, tmp_path):
@@ -1920,21 +1904,6 @@ class TestScenePool:
                                  "--scene-manifest", manifest, "--output-dir", out_dir,
                                  "--jobs", jobs)
             assert child.returncode == cli.EXIT_OK, child.stderr
-            runs.append(outputs_of(out_dir))
-        assert len(runs[0][1]) == 2
+            runs.append(written_files(out_dir))
+        assert len(runs[0]) == 2 * 8 + 2
         assert runs[0] == runs[1]
-
-    def test_si_sdr_reports_equal_at_any_jobs(self, tmp_path):
-        """SI-SDR makes no BLAS call, and run sets one BLAS thread for every
-        scene task, so an MVDR run-all scores the same at any jobs."""
-        manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=3)
-        records = {}
-        for jobs in (1, 2):
-            out_dir = tmp_path / f"jobs{jobs}"
-            cli.run(base_config(manifest, out_dir, jobs=jobs,
-                                separator={"method": "mvdr"}, metric={"name": "si_sdr"}))
-            lines = (out_dir / "report.jsonl").read_text().splitlines()
-            records[jobs] = [{key: value for key, value in json.loads(line).items()
-                              if key != "timing_s"} for line in lines]
-        assert len(records[1]) == 3
-        assert records[1] == records[2]
