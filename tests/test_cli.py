@@ -1872,21 +1872,35 @@ class TestScenePool:
         assert made == [(cli.M_MMAP_THRESHOLD, 32 << 20),
                         (cli.M_TRIM_THRESHOLD, 512 << 20)][:calls]
 
-    @pytest.mark.parametrize("method, metric", [("mvdr", "si_sdr"), ("masking", "ci_sdr")])
-    def test_jobs_give_identical_outputs_on_pilot_scenes(self, method, metric, tmp_path):
+    @staticmethod
+    def assert_same_files_at_jobs_1_and_2(tmp_path, method, metric):
         """Every file a run-all writes but report.json is the same, byte for
-        byte, at jobs 1 and at jobs 2, where each worker scores two scenes.
-        SI-SDR makes no BLAS call, and CI-SDR's Cholesky follows the BLAS
-        thread count, which run sets to one for every scene task."""
+        byte, at jobs 1 and at jobs 2, where each worker scores two of four
+        pilot scenes."""
         manifest = pilot_suite.write_cli_suite(tmp_path / "in", num_scenes=4)
         runs = []
         for jobs in (1, 2):
-            out_dir = tmp_path / f"jobs{jobs}"
+            out_dir = tmp_path / f"{method}-{metric}-jobs{jobs}"
             cli.run(base_config(manifest, out_dir, jobs=jobs,
                                 separator={"method": method}, metric={"name": metric}))
             runs.append(written_files(out_dir))
         assert len(runs[0]) == 4 * 8 + 2
         assert runs[0] == runs[1]
+
+    def test_jobs_give_identical_outputs_on_pilot_scenes(self, tmp_path):
+        """The two pairs of separator and metric that the tests below leave out."""
+        self.assert_same_files_at_jobs_1_and_2(tmp_path, "masking", "si_sdr")
+        self.assert_same_files_at_jobs_1_and_2(tmp_path, "mvdr", "ci_sdr")
+
+    def test_si_sdr_reports_equal_at_any_jobs(self, tmp_path):
+        """SI-SDR makes no BLAS call, and run sets one BLAS thread for every
+        scene task, so an MVDR run-all writes the same at any jobs."""
+        self.assert_same_files_at_jobs_1_and_2(tmp_path, "mvdr", "si_sdr")
+
+    def test_ci_sdr_reports_equal_at_any_jobs(self, tmp_path):
+        """CI-SDR's Cholesky follows the BLAS thread count, which is one for
+        every scene task, so a masking run-all writes the same at any jobs."""
+        self.assert_same_files_at_jobs_1_and_2(tmp_path, "masking", "ci_sdr")
 
     def test_ci_sdr_scene_tasks_start_with_scipy_loaded(self, tmp_path):
         """In a fresh interpreter a CI-SDR run-all has imported scipy.linalg
